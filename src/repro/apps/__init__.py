@@ -23,7 +23,6 @@ from repro.apps.registry import (
     app_catalog,
     app_device_factory,
     app_experiment,
-    app_path,
     app_source,
     load_app,
     programs_dir,
@@ -39,7 +38,6 @@ __all__ = [
     "app_catalog",
     "app_device_factory",
     "app_experiment",
-    "app_path",
     "app_source",
     "load_app",
     "programs_dir",

@@ -74,13 +74,6 @@ def programs_dir() -> Path:
     return Path(str(resources.files("repro.apps") / "programs"))
 
 
-def app_path(name: str) -> Path:
-    """Filesystem path of one bundled app's source."""
-    if name not in all_app_names():
-        raise KeyError(f"unknown app {name!r}; available: {all_app_names()}")
-    return programs_dir() / f"{name}.sj"
-
-
 def app_source(name: str, annotated: bool = True) -> str:
     if name not in all_app_names():
         raise KeyError(f"unknown app {name!r}; available: {all_app_names()}")

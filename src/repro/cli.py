@@ -100,7 +100,8 @@ from repro.obs import (
     write_report,
 )
 from repro.obs.events import PY_LEVELS, installed_event_log
-from repro.runtime import Interpreter, RuntimeOptions, StabilizationExperiment
+from repro.runtime import RuntimeOptions, StabilizationExperiment
+from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import SyntheticDevice
 from repro.runtime.stabilization import recovery_histogram
 from repro.service import protocol
@@ -294,7 +295,7 @@ def _device_factory(args: argparse.Namespace):
 
 def cmd_run(args: argparse.Namespace) -> int:
     info = _load(args.file)
-    interp = Interpreter(
+    interp = CompiledRunner(
         info,
         _device_factory(args)(),
         options=RuntimeOptions(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from repro.core.lattice import Lattice
 
@@ -248,12 +248,3 @@ def pc_allows(pc: Loc, dest: Loc) -> FlowJudgment:
     return can_flow(pc, dest)
 
 
-def format_loc(loc: Loc) -> str:
-    return str(loc)
-
-
-def shared_key(loc: Loc) -> Optional[tuple]:
-    """A hashable identity for a shared location group, or None."""
-    if isinstance(loc, CompositeLocation) and loc.is_shared():
-        return (tuple(id(lat) for lat in loc.lattices), loc.elements)
-    return None

@@ -1,14 +1,14 @@
 """The distributed node harness and message-passing fabric.
 
 N independent sjava program instances — one per fabric node — executed
-by the *unchanged* single-node backends (tree-walking interpreter or the
-closure compiler).  Each activation runs one node's program for exactly
-one event-loop iteration on an :class:`IterationKeyedDevice` whose
-generator exposes that node's view of the fabric (own state, neighbor
-states, coins, role flags, protocol parameters); the values the program
-``SJ.broadcast``-s become the node's next state.  Programs therefore
-stay pure sjava and every one of them passes the static
-self-stabilization checker.
+by the *unchanged* single-node backends (the closure compiler, or the
+tree-walking interpreter as its differential oracle).  Each activation
+runs one node's program for exactly one event-loop iteration on an
+:class:`IterationKeyedDevice` whose generator exposes that node's view
+of the fabric (own state, neighbor states, coins, role flags, protocol
+parameters); the values the program ``SJ.broadcast``-s become the
+node's next state.  Programs therefore stay pure sjava and every one of
+them passes the static self-stabilization checker.
 
 Fault injection reuses :class:`~repro.runtime.injection.ErrorInjector`
 unchanged: a *composite site* is ``(node, local step)`` where local
@@ -36,10 +36,10 @@ from typing import Callable, Optional
 from repro.lang.symtab import ProgramInfo
 from repro.obs import get_tracer
 from repro.obs.events import get_event_log
+from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import IterationKeyedDevice
 from repro.runtime.injection import ErrorInjector, StepCounter
 from repro.runtime.interpreter import (
-    Interpreter,
     RuntimeOptions,
     StepBudgetExceeded,
     state_digest,
@@ -160,7 +160,7 @@ class DistExperiment:
     scheduler: Scheduler
     rounds: int
     recovery_window: int
-    engine: type = Interpreter
+    engine: type = CompiledRunner
     step_budget: Optional[int] = None
     step_budget_factor: Optional[int] = None
     seed: int = 0

@@ -32,6 +32,8 @@ use it.  A Prometheus scrape-config example lives in
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
@@ -127,7 +129,57 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # scrapes every few seconds must not spam stderr
 
 
-class _Server(ThreadingHTTPServer):
+class PromptShutdownMixin:
+    """Makes a :mod:`socketserver` server's :meth:`shutdown` wake
+    :meth:`serve_forever` at once; list it before the server class.
+    The stock loop sees a shutdown only when its ``select()`` times out
+    (``poll_interval``, 0.5 s by default); this one also selects on a
+    socket pair that :meth:`shutdown` writes a byte to."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        # Made first: a failed bind inside the server's __init__ calls
+        # server_close(), which closes the pair.
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._stop_requested = False
+        self._stopped = threading.Event()
+        super().__init__(*args, **kwargs)
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_recv, selectors.EVENT_READ)
+                while not self._stop_requested:
+                    ready = selector.select(poll_interval)
+                    if self._stop_requested:
+                        break
+                    for key, _ in ready:
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                        else:  # a wake byte left by an earlier shutdown
+                            self._wake_recv.recv(64)
+                    self.service_actions()
+        finally:
+            self._stop_requested = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stop_requested = True
+        try:
+            self._wake_send.send(b"\0")
+        except OSError:  # server_close() ran, so the loop has stopped
+            pass
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_recv.close()
+        self._wake_send.close()
+
+
+class _Server(PromptShutdownMixin, ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
     exporter: "MetricsExporter"

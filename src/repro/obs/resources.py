@@ -179,32 +179,33 @@ class ResourceMonitor:
 
     def _on_gc(self, phase: str, info: dict) -> None:
         """The :data:`gc.callbacks` hook: "start" stamps the clock for
-        the collecting generation, "stop" folds the pause in."""
+        the collecting generation, "stop" folds the pause in.  Lock-free:
+        a collection can start while this thread holds ``_lock``, and the
+        collector runs one collection's callbacks at a time."""
         generation = int(info.get("generation", 0))
         if phase == "start":
             self._gc_started[generation] = self.clock()
             return
         started = self._gc_started.pop(generation, None)
-        with self._lock:
-            self._gc_collections += 1
-            self._gc_by_generation[generation] = (
-                self._gc_by_generation.get(generation, 0) + 1
-            )
-            if started is not None:
-                self._gc_pause_total += self.clock() - started
+        self._gc_collections += 1
+        self._gc_by_generation[generation] = (
+            self._gc_by_generation.get(generation, 0) + 1
+        )
+        if started is not None:
+            self._gc_pause_total += self.clock() - started
 
     def gc_snapshot(self) -> dict:
         """Cumulative GC totals so far — callers diff two snapshots to
         charge collections/pauses to one scenario or request window."""
-        with self._lock:
-            return {
-                "collections": self._gc_collections,
-                "pause_seconds_total": self._gc_pause_total,
-                "collections_by_generation": {
-                    str(gen): count
-                    for gen, count in sorted(self._gc_by_generation.items())
-                },
-            }
+        # Copied first: a collection while sorting may add a generation.
+        by_generation = dict(self._gc_by_generation)
+        return {
+            "collections": self._gc_collections,
+            "pause_seconds_total": self._gc_pause_total,
+            "collections_by_generation": {
+                str(gen): count for gen, count in sorted(by_generation.items())
+            },
+        }
 
     # -- section attribution ---------------------------------------------
 

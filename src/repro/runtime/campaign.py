@@ -802,25 +802,3 @@ class CampaignRunner:
     def _note(self, message: str) -> None:
         if self.progress is not None:
             self.progress(message)
-
-
-def run_campaign(
-    config: CampaignConfig,
-    *,
-    checkpoint_path: Optional[Path] = None,
-    max_workers: int = 1,
-    trace_dir: Optional[Path] = None,
-    shard_timeout: Optional[float] = None,
-    fresh: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
-) -> dict:
-    """Convenience wrapper: build a runner, drive it, return the report."""
-    return CampaignRunner(
-        config=config,
-        checkpoint_path=checkpoint_path,
-        max_workers=max_workers,
-        trace_dir=trace_dir,
-        shard_timeout=shard_timeout,
-        fresh=fresh,
-        progress=progress,
-    ).run()

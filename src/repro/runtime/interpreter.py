@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.lang import ast
 from repro.obs.events import get_event_log
 from repro.obs.profile import get_profiler
+from repro.obs.resources import get_resource_monitor
 from repro.lang.symtab import BuiltinCall, MethodCall, ProgramInfo
 from repro.runtime.devices import DeviceBus, InputExhausted, OutputSink
 from repro.runtime.values import (
@@ -186,7 +188,7 @@ class Interpreter:
                 if fld.is_static:
                     continue
                 if fld.init is not None:
-                    frame = _Frame(this=obj)
+                    frame = _Frame(obj, self)
                     obj.fields[fld.name] = self.eval(fld.init, frame)
                 else:
                     obj.fields[fld.name] = default_value(fld.decl_type)
@@ -200,7 +202,7 @@ class Interpreter:
                     continue
                 if fld.init is not None:
                     self._statics[(owner, fld.name)] = self.eval(
-                        fld.init, _Frame(this=None)
+                        fld.init, _Frame(None, self)
                     )
                 else:
                     self._statics[(owner, fld.name)] = default_value(fld.decl_type)
@@ -226,14 +228,17 @@ class Interpreter:
                 f"no method {method_name!r} on class {dispatch_class!r}"
             )
         owner, decl = found
-        frame = _Frame(this=receiver)
+        frame = _Frame(receiver, self)
         for param, arg in zip(decl.params, args):
             frame.vars[param.name] = arg
         try:
-            self.exec_stmt(decl.body, frame)
+            self._exec_body(owner, decl, frame)
         except _ReturnSignal as signal:
             return signal.value
         return None
+
+    def _exec_body(self, owner: str, decl: ast.MethodDecl, frame: "_Frame") -> None:
+        self.exec_stmt(decl.body, frame)
 
     # -- statements ----------------------------------------------------------------
 
@@ -256,7 +261,11 @@ class Interpreter:
                 self.exec_stmt(stmt.else_body, frame)
         elif isinstance(stmt, ast.While):
             if stmt.label in ("SSJAVA", "SJAVA"):
-                self._exec_event_loop(stmt, frame)
+                self._event_loop(
+                    partial(self.eval, stmt.cond),
+                    partial(self.exec_stmt, stmt.body),
+                    frame,
+                )
             else:
                 self._exec_inner_loop(stmt, frame)
         elif isinstance(stmt, ast.For):
@@ -273,39 +282,38 @@ class Interpreter:
         else:  # pragma: no cover - defensive
             raise SJavaRuntimeError(f"unhandled statement {type(stmt).__name__}", stmt)
 
-    def _exec_event_loop(self, stmt: ast.While, frame: "_Frame") -> None:
-        from repro.obs.resources import get_resource_monitor
-
-        with get_profiler().section("interpreter.step"):
-            with get_resource_monitor().section("interpreter.step"):
-                self._exec_event_loop_body(stmt, frame)
-
-    def _exec_event_loop_body(
-        self, stmt: ast.While, frame: "_Frame"
-    ) -> None:
-        begin_device_iteration = getattr(self.device, "begin_iteration", None)
-        while self.iteration < self.options.max_iterations:
-            self._charge()
-            if not self._truthy(self.eval(stmt.cond, frame)):
-                break
-            if begin_device_iteration is not None:
-                begin_device_iteration(self.iteration)
-            if self.injector is not None:
-                self.injector.begin_iteration(self.iteration)
-            try:
-                self.exec_stmt(stmt.body, frame)
-            except InputExhausted:
-                break
-            except _BreakSignal:
+    def _event_loop(self, cond: Callable, body: Callable, frame: "_Frame") -> None:
+        """Run the SSJAVA event loop whose condition and body evaluate as
+        ``cond(frame)`` and ``body(frame)``.  Both engines run their event
+        loops through this one method, inside the ``interpreter.step``
+        profiler and memory anchor."""
+        with (
+            get_profiler().section("interpreter.step"),
+            get_resource_monitor().section("interpreter.step"),
+        ):
+            begin_device_iteration = getattr(self.device, "begin_iteration", None)
+            while self.iteration < self.options.max_iterations:
+                self._charge()
+                if not cond(frame):
+                    break
+                if begin_device_iteration is not None:
+                    begin_device_iteration(self.iteration)
+                if self.injector is not None:
+                    self.injector.begin_iteration(self.iteration)
+                try:
+                    body(frame)
+                except InputExhausted:
+                    break
+                except _BreakSignal:
+                    self.iteration += 1
+                    self.iteration_marks.append(len(self.sink.values))
+                    self._iteration_event()
+                    break
+                except _ContinueSignal:
+                    pass
                 self.iteration += 1
                 self.iteration_marks.append(len(self.sink.values))
                 self._iteration_event()
-                break
-            except _ContinueSignal:
-                pass
-            self.iteration += 1
-            self.iteration_marks.append(len(self.sink.values))
-            self._iteration_event()
 
     def _loop_bound(self, annotations: list[ast.Annotation]) -> int:
         maxloop = ast.annotation_named(annotations, "MAXLOOP")
@@ -688,11 +696,13 @@ def _to_display(value: object) -> str:
 
 
 class _Frame:
-    __slots__ = ("this", "vars")
+    """A method activation; ``engine`` is the runtime context compiled
+    code reads."""
 
-    def __init__(self, this: Optional[ObjectVal]) -> None:
+    __slots__ = ("this", "vars", "engine")
+
+    def __init__(self, this: Optional[ObjectVal], engine: "Interpreter") -> None:
         self.this = this
         self.vars: dict[str, object] = {}
+        self.engine = engine
 
-
-InjectorCallback = Callable[[object, ast.Node], object]

@@ -158,8 +158,8 @@ class StabilizationExperiment:
         default_factory=lambda: RuntimeOptions(ignore_errors=True)
     )
     #: Execution backend; the closure-compiling runner is observationally
-    #: identical to the interpreter (differentially tested) and 2-4x
-    #: faster, which matters at paper-scale trial counts.
+    #: identical to the interpreter (differentially tested) and about 3x
+    #: faster (see repro.runtime.compiler), which matters at trial scale.
     engine: type = CompiledRunner
     #: Watchdog for *injected* runs only (the reference run is never
     #: budgeted): an absolute step cap, or a multiple of the reference
@@ -342,10 +342,6 @@ class StabilizationExperiment:
         self, count: int, seed: int = 0, burst: int = 1
     ) -> list[InjectionTrial]:
         return [self.trial(seed + i, burst=burst) for i in range(count)]
-
-
-def corrupted_trials(trials: list[InjectionTrial]) -> list[InjectionTrial]:
-    return [t for t in trials if t.corrupted_output]
 
 
 def recovery_histogram(

@@ -83,10 +83,6 @@ def default_value(node: ast.TypeNode) -> object:
     return None
 
 
-def default_for_semantic(name: str) -> object:
-    return {"int": 0, "float": 0.0, "boolean": False, "String": ""}.get(name)
-
-
 def java_int_div(left: int, right: int) -> int:
     """Java integer division truncates toward zero."""
     quotient = abs(left) // abs(right)

@@ -66,7 +66,7 @@ from repro.obs import (
 )
 from repro.chaos.injector import get_chaos
 from repro.obs.events import EventError, get_event_log, set_event_log
-from repro.obs.exporter import maybe_exporter
+from repro.obs.exporter import PromptShutdownMixin, maybe_exporter
 from repro.obs.resources import ResourceMonitor
 from repro.obs.propagate import PropagationError, TraceContext
 from repro.service import protocol
@@ -110,7 +110,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
 
 
-class ReproServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
+class ReproServer(
+    PromptShutdownMixin, socketserver.ThreadingMixIn, socketserver.UnixStreamServer
+):
     """The daemon.  Construct, then call :meth:`serve_forever` (or
     :meth:`start` to run it on a background thread, as tests do)."""
 

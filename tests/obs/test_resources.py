@@ -4,6 +4,7 @@ cost, and the MEM_*.json schema, byte for byte."""
 
 import itertools
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -150,6 +151,25 @@ class TestResourceMonitor:
         assert snapshot["collections"] == 2
         assert snapshot["pause_seconds_total"] == pytest.approx(1.0)
         assert snapshot["collections_by_generation"] == {"0": 1, "2": 1}
+
+    def test_gc_callback_does_not_wait_on_the_monitor_lock(self):
+        """A collection can start inside any allocation, including one
+        made while this thread holds the monitor's lock (a daemon
+        ``gc_snapshot`` did); the callback must not wait on it."""
+        monitor = _pinned_monitor()
+        done = threading.Event()
+
+        def collect_under_lock():
+            with monitor._lock:
+                monitor._on_gc("start", {"generation": 0})
+                monitor._on_gc("stop", {"generation": 0})
+            done.set()
+
+        thread = threading.Thread(target=collect_under_lock, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert done.is_set()
+        assert monitor.gc_snapshot()["collections"] == 1
 
     def test_real_gc_callback_registers_and_unregisters(self):
         import gc

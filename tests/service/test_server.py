@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+from http.server import BaseHTTPRequestHandler
+
 import pytest
 
 from repro.cli import main
+from repro.obs.exporter import _Server
 from repro.service.cache import ResultCache
 from repro.service.client import ReproClient, ServiceError
 from repro.service.server import ReproServer
@@ -124,6 +128,24 @@ class TestShutdown:
         thread.join(timeout=5)
         assert not thread.is_alive()
         srv.close()
+
+    @pytest.mark.parametrize("kind", ["daemon", "http-exporter"])
+    def test_shutdown_wakes_the_serve_loop_at_once(self, tmp_path, kind):
+        """shutdown() must not wait out the serve loop's poll interval."""
+        if kind == "daemon":
+            srv = ReproServer(tmp_path / "s.sock")
+            close = srv.close
+        else:
+            srv = _Server(("127.0.0.1", 0), BaseHTTPRequestHandler)
+            close = srv.server_close
+        thread = threading.Thread(
+            target=srv.serve_forever, kwargs={"poll_interval": 60}, daemon=True
+        )
+        thread.start()
+        threading.Thread(target=srv.shutdown, daemon=True).start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        close()
 
 
 class TestResourceTelemetry:

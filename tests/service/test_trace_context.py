@@ -193,6 +193,9 @@ class TestHttpPlane:
         try:
             with ReproClient(srv.socket_path) as client:
                 client.request({"op": "status"})
+            # The response can arrive before the handler leaves the
+            # in-flight window; wait for it so the count below is 0.
+            assert srv.drain(timeout=5)
             with urllib.request.urlopen(
                 f"http://127.0.0.1:{srv.exporter.port}/healthz", timeout=5
             ) as response:

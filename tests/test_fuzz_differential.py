@@ -73,15 +73,16 @@ class TestDistributedBackendEquivalence:
             ))
         assert results[0] == results[1]
 
-    def test_injected_fabric_trials_identical(self):
+    @pytest.mark.parametrize("app", DIST_APP_NAMES)
+    def test_injected_fabric_trials_identical(self, app):
         from repro.dist import dist_app_experiment
         from repro.runtime.campaign import trial_record
 
         records = []
         for engine in (Interpreter, CompiledRunner):
-            experiment = dist_app_experiment("herman_bit", engine=engine)
+            experiment = dist_app_experiment(app, engine=engine)
             site = experiment.total_steps() // 2
             records.append(
-                trial_record("herman_bit", experiment.trial_at(site, seed=2))
+                trial_record(app, experiment.trial_at(site, seed=2))
             )
         assert records[0] == records[1]
