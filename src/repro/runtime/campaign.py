@@ -288,11 +288,36 @@ def trial_telemetry(trial: dict) -> dict:
     }
 
 
+#: This process's experiments, keyed by the payload fields that define
+#: one.  An experiment keeps its reference run and trace, so a worker
+#: parses each app and runs its reference once, not once per shard.
+#: Module state, because a pool worker receives nothing but payloads;
+#: trials never change an experiment, so sharing one is safe.
+_experiments: dict[tuple, object] = {}
+
+
+def _shard_experiment(payload: dict):
+    app, iterations, budget, factor = key = (
+        payload["app"],
+        payload.get("iterations"),
+        payload.get("step_budget"),
+        payload.get("step_budget_factor"),
+    )
+    experiment = _experiments.get(key)
+    if experiment is None:
+        experiment = _experiments[key] = resolve_experiment(
+            app, iterations, step_budget=budget, step_budget_factor=factor
+        )
+    return experiment
+
+
 def run_shard(payload: dict) -> dict:
     """Run one shard of injection trials.  Ships to pool workers, so it
     takes and returns plain dicts only.  ``run_seconds`` is measured on
     the worker side, so the driver can split a shard's settle latency
-    into execution time and queue wait.
+    into execution time and queue wait.  The shard's experiment comes
+    from this process's ``_experiments`` map, so later shards of the
+    same app reuse its reference run and trace.
 
     When the payload carries a ``chaos`` config (``repro chaos``), the
     worker rebuilds the injector on its side of the pickle boundary and
@@ -320,12 +345,7 @@ def run_shard(payload: dict) -> dict:
     with worker_traced(
         payload.get("trace"), shard_id=shard_id, app=payload["app"]
     ) as shard_span:
-        experiment = resolve_experiment(
-            payload["app"],
-            payload.get("iterations"),
-            step_budget=payload.get("step_budget"),
-            step_budget_factor=payload.get("step_budget_factor"),
-        )
+        experiment = _shard_experiment(payload)
         crash_after = len(payload["sites"]) // 2
         trials = []
         for done, (site, seed) in enumerate(
@@ -535,6 +555,10 @@ class CampaignRunner:
         )
         if pending:
             self._drive(pending)
+        if self._torn:
+            # The last checkpoint write was torn and no later write
+            # healed it: write it again, so no run ends on a torn file.
+            self._save_manifest()
         return aggregate_report(self.config, site_totals, planned, records)
 
     # -- execution -------------------------------------------------------

@@ -132,6 +132,16 @@ class IterationKeyedDevice(DeviceBus):
         self.iteration = iteration
         self._index_in_iteration.clear()
 
+    def position(self) -> tuple:
+        """Everything the next read depends on besides the generator:
+        the iteration and the per-function read counts within it."""
+        return self.iteration, tuple(sorted(self._index_in_iteration.items()))
+
+    def seek(self, position: tuple) -> None:
+        """Continue from a :meth:`position` another device reached."""
+        self.iteration, counts = position
+        self._index_in_iteration = dict(counts)
+
     def read(self, name: str) -> object:
         if self.iteration >= self.iterations:
             raise InputExhausted("input stream complete")

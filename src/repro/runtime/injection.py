@@ -74,6 +74,11 @@ class ErrorInjector:
     def fired(self) -> bool:
         return bool(self.injected_at)
 
+    @property
+    def spent(self) -> bool:
+        """True once every site this injector may corrupt has passed."""
+        return self.step >= self.target_step + self.burst
+
 
 class StepCounter:
     """Counts injectable sites in a clean run, to pick a uniform target."""

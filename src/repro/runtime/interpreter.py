@@ -33,6 +33,7 @@ from repro.obs.resources import get_resource_monitor
 from repro.lang.symtab import BuiltinCall, MethodCall, ProgramInfo
 from repro.runtime.devices import DeviceBus, InputExhausted, OutputSink
 from repro.runtime.values import (
+    REFERENCE_TYPES,
     ArrayVal,
     BufferVal,
     ObjectVal,
@@ -100,6 +101,12 @@ class _ReturnSignal(Exception):
 
 
 class Interpreter:
+    #: Called at every event-loop boundary (see :meth:`_event_loop`):
+    #: reference traces record through it, and resumed trials skip
+    #: ahead and stop through it.  None, the default, costs one
+    #: attribute read per loop and one test per iteration.
+    boundary_hook: Optional[Callable] = None
+
     def __init__(
         self,
         info: ProgramInfo,
@@ -286,13 +293,22 @@ class Interpreter:
         """Run the SSJAVA event loop whose condition and body evaluate as
         ``cond(frame)`` and ``body(frame)``.  Both engines run their event
         loops through this one method, inside the ``interpreter.step``
-        profiler and memory anchor."""
+        profiler and memory anchor.
+
+        A loop *boundary* is the top of an iteration, before its step is
+        charged and its condition evaluated.  With a ``boundary_hook``
+        set, the loop calls ``boundary_hook(frame)`` at every boundary;
+        the hook may change the engine's state, or raise to end the
+        run."""
         with (
             get_profiler().section("interpreter.step"),
             get_resource_monitor().section("interpreter.step"),
         ):
             begin_device_iteration = getattr(self.device, "begin_iteration", None)
+            at_boundary = self.boundary_hook
             while self.iteration < self.options.max_iterations:
+                if at_boundary is not None:
+                    at_boundary(frame)
                 self._charge()
                 if not cond(frame):
                     break
@@ -680,8 +696,8 @@ class Interpreter:
 
 
 def _both_refs(left: object, right: object) -> bool:
-    return isinstance(left, (ObjectVal, ArrayVal, BufferVal)) and isinstance(
-        right, (ObjectVal, ArrayVal, BufferVal)
+    return isinstance(left, REFERENCE_TYPES) and isinstance(
+        right, REFERENCE_TYPES
     )
 
 

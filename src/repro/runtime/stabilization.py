@@ -14,21 +14,28 @@ and a corrupted iteration cannot shift the framing of later ones.
 
 from __future__ import annotations
 
+import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import zip_longest
 from typing import Callable, Optional
 
+from repro.lang import ast
 from repro.lang.symtab import ProgramInfo
 from repro.obs import get_tracer
 from repro.obs.events import get_event_log
 from repro.runtime.compiler import CompiledRunner
-from repro.runtime.devices import DeviceBus
+from repro.runtime.devices import DeviceBus, IterationKeyedDevice
 from repro.runtime.injection import ErrorInjector, StepCounter
 from repro.runtime.interpreter import (
     Interpreter,
     RuntimeOptions,
     StepBudgetExceeded,
+    _Frame,
 )
+from repro.runtime.values import copy_graph, same_graph
 
 DeviceFactory = Callable[[], DeviceBus]
 
@@ -82,27 +89,27 @@ def recovery_distance(
     """
     if faulty_groups == reference_groups:
         return None, None, False  # fault masked: no visible corruption
-    if len(faulty_groups) < len(reference_groups):
+    if len(faulty_groups) != len(reference_groups):
         # The faulty run ended early (e.g. a crash cut the event loop
         # short): the missing tail is itself a visible divergence, even
-        # when the truncated prefix matches the reference exactly.
+        # when the truncated prefix matches the reference exactly.  A
+        # run with extra trailing groups can never claim recovery either.
         return None, None, True
-    recovery = None
     # Recovery requires the *entire* faulty tail from r onward to equal
-    # the reference tail — full slices, so a faulty run with extra
-    # trailing groups can never claim recovery.  r == len(reference) is
-    # excluded: with no matching trailing output we cannot claim the
-    # program recovered, so such runs count as diverged (give
-    # experiments enough trailing iterations to observe recovery).
-    for r in range(injection_iteration, len(reference_groups)):
-        if faulty_groups[r:] == reference_groups[r:]:
-            recovery = r
-            break
-    if recovery is None:
+    # the reference tail, so scan back from the end while the groups
+    # match.  r == len(reference) is excluded: with no matching trailing
+    # output we cannot claim the program recovered, so such runs count
+    # as diverged (give experiments enough trailing iterations to
+    # observe recovery).
+    recovery = len(reference_groups)
+    while (
+        recovery > injection_iteration
+        and faulty_groups[recovery - 1] == reference_groups[recovery - 1]
+    ):
+        recovery -= 1
+    if recovery == len(reference_groups):
         return None, None, True
-    samples = sum(
-        len(reference_groups[i]) for i in range(injection_iteration, recovery)
-    )
+    samples = sum(map(len, reference_groups[injection_iteration:recovery]))
     return samples, recovery - injection_iteration, False
 
 
@@ -111,22 +118,17 @@ def divergence_series(
     faulty_groups: list[list[object]],
 ) -> list[int]:
     """Per-iteration divergence-set size: how many output samples of
-    iteration ``i`` differ between the faulty run and the reference
-    (positions missing from either run count as differing).  The series
-    the paper's Figures 6.1/6.2 make visible — it spikes at the
-    injection point and decays to zero as execution re-converges."""
-    length = max(len(reference_groups), len(faulty_groups))
-    series: list[int] = []
-    for i in range(length):
-        reference = reference_groups[i] if i < len(reference_groups) else []
-        faulty = faulty_groups[i] if i < len(faulty_groups) else []
-        width = max(len(reference), len(faulty))
-        series.append(sum(
-            1 for j in range(width)
-            if j >= len(reference) or j >= len(faulty)
-            or reference[j] != faulty[j]
-        ))
-    return series
+    iteration ``i`` differ (``!=``) between the faulty run and the
+    reference, positions missing from either run counting as differing.
+    The series the paper's Figures 6.1/6.2 make visible — it spikes at
+    the injection point and decays to zero as execution re-converges."""
+    return [
+        sum(map(operator.ne, reference, faulty))
+        + abs(len(reference) - len(faulty))
+        for reference, faulty in zip_longest(
+            reference_groups, faulty_groups, fillvalue=()
+        )
+    ]
 
 
 def convergence_series(
@@ -148,18 +150,282 @@ def convergence_series(
     return series
 
 
+@dataclass(frozen=True)
+class Boundary:
+    """The reference run at one event-loop boundary (the top of an
+    iteration, see :meth:`Interpreter._event_loop`)."""
+
+    steps: int
+    #: Injection sites executed before the boundary.
+    sites: int
+    #: Sink and error-log lengths.
+    outputs: int
+    errors: int
+    #: :meth:`IterationKeyedDevice.position`.
+    device: tuple
+    #: The loop frame's variable names, the statics' keys, and the
+    #: classes whose statics are initialized.
+    names: tuple[str, ...]
+    statics: tuple[tuple[str, str], ...]
+    ready: frozenset[str]
+    #: ``this``, the locals in ``names`` order and the statics in
+    #: ``statics`` order, copied as one heap (:func:`copy_graph`).
+    values: tuple
+
+    @classmethod
+    def of(cls, engine: Interpreter, frame: _Frame, sites: int) -> "Boundary":
+        return cls(
+            steps=engine.steps,
+            sites=sites,
+            outputs=len(engine.sink.values),
+            errors=len(engine.error_log),
+            device=engine.device.position(),
+            names=tuple(frame.vars),
+            statics=tuple(engine._statics),
+            ready=frozenset(engine._statics_ready),
+            values=tuple(copy_graph([
+                frame.this, *frame.vars.values(), *engine._statics.values()
+            ])),
+        )
+
+    def matches(self, engine: Interpreter, frame: _Frame) -> bool:
+        """Whether ``engine``, at its boundary with loop frame ``frame``,
+        is in this state: from here on it would run exactly as the
+        reference did."""
+        local, statics = frame.vars, engine._statics
+        return (
+            local.keys() == set(self.names)
+            and statics.keys() == set(self.statics)
+            and engine._statics_ready == self.ready
+            and engine.device.position() == self.device
+            and same_graph(self.values, [
+                frame.this,
+                *map(local.__getitem__, self.names),
+                *map(statics.__getitem__, self.statics),
+            ])
+        )
+
+
+def _plain_output(value: object) -> bool:
+    """A primitive that compares the same by value as by identity."""
+    kind = type(value)
+    return kind in (int, bool, str, type(None)) or (
+        kind is float and value == value
+    )
+
+
+class ReferenceTrace:
+    """A clean run on the production engine, recorded at every event-loop
+    boundary, for injected trials to resume from (:class:`Resume`).
+
+    Boundary ``k`` is recorded when the loop's iteration counter reads
+    ``k``.  :meth:`seal` keeps the run's outputs, marks, error log and
+    step count, and decides whether trials may use the trace at all.
+    """
+
+    def __init__(self) -> None:
+        self.boundaries: list[Boundary] = []
+        #: ``Boundary.sites`` of every boundary, for bisection.
+        self.sites: list[int] = []
+        self._frame: Optional[_Frame] = None
+        self._broken = False
+        #: The finished run's outputs, iteration marks, error log, step
+        #: count and iteration count, kept by :meth:`seal`.
+        self.outputs: list[object] = []
+        self.marks: list[int] = []
+        self.error_log: list[str] = []
+        self.steps = 0
+        self.iterations = 0
+
+    def record(
+        self, engine: Interpreter, counter: StepCounter, frame: _Frame
+    ) -> None:
+        """The reference engine's boundary hook."""
+        if self._broken:
+            return
+        if self._frame is None:
+            self._frame = frame
+            # Resume restores the device from its position, which only
+            # an iteration-keyed device fully describes.
+            self._broken = type(engine.device) is not IterationKeyedDevice
+        elif frame is not self._frame:
+            self._broken = True  # the loop ran in a second activation
+        if not self._broken:
+            self.boundaries.append(Boundary.of(engine, frame, counter.step))
+            self.sites.append(counter.step)
+
+    def seal(self, info: ProgramInfo, engine: Interpreter) -> bool:
+        """Keep what trials splice in from the finished reference run
+        ``engine``; return whether trials may resume from this trace.
+
+        They may when the event loop runs once per run (a top-level
+        statement of the entry method, so no enclosing loop re-enters
+        it) and every output is a :func:`_plain_output`.  Spliced
+        outputs are the reference's own objects, where a full run makes
+        equal new ones; list equality short-cuts on identity, so a NaN
+        or an object would compare differently.
+        """
+        self._frame = None
+        event_loop = info.event_loop
+        if (
+            self._broken or not self.boundaries
+            or not isinstance(event_loop.method.body, ast.Block)
+            or not any(
+                stmt is event_loop.loop for stmt in event_loop.method.body.stmts
+            )
+            or not all(map(_plain_output, engine.sink.values))
+        ):
+            return False
+        self.outputs = engine.sink.values
+        self.marks = engine.iteration_marks
+        self.error_log = engine.error_log
+        self.steps = engine.steps
+        self.iterations = engine.iteration
+        return True
+
+    def resume(self, target_step: int, injector: ErrorInjector) -> Optional["Resume"]:
+        """Where a trial corrupting ``target_step`` starts: the last
+        boundary at or before that site, or None (a full run) when the
+        site precedes the loop."""
+        index = bisect_right(self.sites, target_step) - 1
+        return Resume(self, index, injector) if index >= 0 else None
+
+
+class _Reconverged(Exception):
+    """Ends a resumed run at the boundary where it re-converged."""
+
+
+class Resume:
+    """One trial's pass through a :class:`ReferenceTrace`.
+
+    :meth:`run` runs the trial engine with a boundary hook.  At the
+    loop's first boundary the hook puts the engine in the reference's
+    state at boundary ``index``, skipping the iterations before it (the
+    program's code before the loop runs as usual: it is the same in
+    both runs).  Once ``injector`` is spent, the hook compares the
+    engine with the trace at each boundary; on a match it ends the run
+    there (``stopped_at``) and :meth:`run` splices in the reference's
+    remainder.  Trials copy the trace and never change it.
+    """
+
+    def __init__(
+        self, trace: ReferenceTrace, index: int, injector: ErrorInjector
+    ) -> None:
+        self.trace = trace
+        self.index = index
+        self.injector = injector
+        self.stopped_at: Optional[int] = None
+        #: The loop frame's variables once restored: identifies the
+        #: frame without a reference back to the engine.
+        self._locals: Optional[dict] = None
+
+    def run(self, engine: Interpreter) -> None:
+        engine.boundary_hook = self._at_boundary
+        try:
+            engine.run()
+        except _Reconverged:
+            self._splice(engine)
+
+    def _at_boundary(self, frame: _Frame) -> None:
+        if self._locals is None:
+            self._restore(frame.engine, frame)
+            return
+        engine = frame.engine
+        boundaries = self.trace.boundaries
+        if (
+            frame.vars is self._locals
+            and self.injector.spent
+            and engine.iteration < len(boundaries)
+            and boundaries[engine.iteration].matches(engine, frame)
+        ):
+            self.stopped_at = engine.iteration
+            raise _Reconverged()
+
+    def _restore(self, engine: Interpreter, frame: _Frame) -> None:
+        """Jump from the loop's first boundary to boundary ``index``;
+        boundary 0 needs nothing: the code before it did not change."""
+        if self.index > 0:
+            boundary = self.trace.boundaries[self.index]
+            values = copy_graph(boundary.values)
+            count = len(boundary.names)
+            frame.this = values[0]
+            frame.vars = dict(zip(boundary.names, values[1:1 + count]))
+            engine._statics = dict(zip(boundary.statics, values[1 + count:]))
+            engine._statics_ready = set(boundary.ready)
+            engine.device.seek(boundary.device)
+            self.injector.step = boundary.sites
+            engine.steps = boundary.steps
+            engine.iteration = self.index
+            engine.iteration_marks = self.trace.marks[:self.index]
+            engine.sink.values = self.trace.outputs[:boundary.outputs]
+            engine.error_log = self.trace.error_log[:boundary.errors]
+        self._locals = frame.vars
+
+    def _splice(self, engine: Interpreter) -> None:
+        """Append the reference's remainder after ``stopped_at`` to
+        ``engine``: outputs and marks, error log, step count, and the
+        step budget's verdict on that count."""
+        trace = self.trace
+        boundary = trace.boundaries[self.stopped_at]
+        shift = len(engine.sink.values) - boundary.outputs
+        engine.iteration_marks += [
+            mark + shift for mark in trace.marks[self.stopped_at:]
+        ]
+        engine.sink.values += trace.outputs[boundary.outputs:]
+        engine.error_log += trace.error_log[boundary.errors:]
+        engine.iteration = trace.iterations
+        engine.steps += trace.steps - boundary.steps
+        budget = engine.options.step_budget
+        if budget is not None and engine.steps > budget:
+            raise StepBudgetExceeded(
+                f"step budget of {budget} execution steps exhausted"
+            )
+
+
 @dataclass
 class StabilizationExperiment:
-    """Orchestrates reference + injected runs of one program."""
+    """Orchestrates reference + injected runs of one program.
+
+    On the production engine an injected trial does not replay the
+    program.  The reference run records a :class:`ReferenceTrace`: at
+    every event-loop boundary, the step and injection-site counts, the
+    sink and error-log lengths, the device position, and a copy of the
+    loop frame's locals, ``this``, the statics and the set of
+    initialized static owners.  A trial starts from the last boundary at
+    or before its target site.  Once its injector is spent, the trial
+    compares its state with the trace at each boundary; on a match it
+    would run exactly as the reference did from there (same state, same
+    iteration-keyed inputs: the paper's ∃k ∀t≥k), so it stops and
+    splices in the reference's remainder (outputs, step count,
+    error-log count, and the step budget's verdict on the total).  A
+    trial whose state never matches runs to its end.
+
+    Trials run in full from the start when the site precedes the loop,
+    when :meth:`ReferenceTrace.seal` refuses the trace (a device other
+    than :class:`IterationKeyedDevice`, an event loop nested in another
+    statement, an output that is NaN or not a primitive), and on the
+    tree-walking :class:`Interpreter`: it is the differential oracle
+    that resumed trials are checked against, so it never shares their
+    mechanism.
+
+    Measured with the end-to-end benchmark's campaign workload (seed 0,
+    ten runs per side, host-scaled medians, a 2-vCPU AMD EPYC VM,
+    CPython 3.11), a 16-trial shard took, full runs then resumed:
+    wind_sensor 16.3 → 2.15 ms, heart_monitor 61.1 → 3.49 ms,
+    eye_tracker 74.7 → 5.20 ms, mp3_decoder 1,238 → 205 ms.  Of that
+    workload's trials 94–100% per app stop early, and a trial executes
+    2.7–7.5% of a full run's iterations.
+    """
 
     info: ProgramInfo
     device_factory: DeviceFactory
     options: RuntimeOptions = field(
         default_factory=lambda: RuntimeOptions(ignore_errors=True)
     )
-    #: Execution backend; the closure-compiling runner is observationally
-    #: identical to the interpreter (differentially tested) and about 3x
-    #: faster (see repro.runtime.compiler), which matters at trial scale.
+    #: Execution backend.  The closure-compiling runner is
+    #: observationally identical to the interpreter (differentially
+    #: tested), runs whole programs 2.7–3.4× faster (see
+    #: repro.runtime.compiler), and is the only engine that resumes.
     engine: type = CompiledRunner
     #: Watchdog for *injected* runs only (the reference run is never
     #: budgeted): an absolute step cap, or a multiple of the reference
@@ -170,26 +436,57 @@ class StabilizationExperiment:
     _reference_groups: Optional[list[list[object]]] = None
     _reference_steps: Optional[int] = None
     _total_steps: Optional[int] = None
+    #: Not an init field, so ``dataclasses.replace`` (say, onto the
+    #: oracle engine) starts without one.
+    _trace: Optional[ReferenceTrace] = field(
+        default=None, init=False, repr=False
+    )
+
+    def _engine(
+        self,
+        injector: Optional[object],
+        options: Optional[RuntimeOptions] = None,
+    ) -> Interpreter:
+        return self.engine(
+            self.info, self.device_factory(),
+            options=options if options is not None else self.options,
+            injector=injector,
+        )
 
     def _run(
         self,
         injector: Optional[object],
         options: Optional[RuntimeOptions] = None,
     ) -> Interpreter:
-        interpreter = self.engine(
-            self.info, self.device_factory(),
-            options=options if options is not None else self.options,
-            injector=injector,
-        )
+        interpreter = self._engine(injector, options)
         interpreter.run()
         return interpreter
 
     def reference_groups(self) -> list[list[object]]:
         if self._reference_groups is None:
-            interpreter = self._run(None)
+            if issubclass(self.engine, CompiledRunner):
+                # The production engine records the trace trials resume
+                # from; a counter supplies the boundaries' site counts.
+                trace, counter = ReferenceTrace(), StepCounter()
+                interpreter = self._engine(counter)
+                interpreter.boundary_hook = partial(
+                    trace.record, interpreter, counter
+                )
+                interpreter.run()
+                interpreter.boundary_hook = None  # it refers to the engine
+                if trace.seal(self.info, interpreter):
+                    self._trace = trace
+            else:
+                interpreter = self._run(None)
             self._reference_groups = interpreter.outputs_by_iteration()
             self._reference_steps = interpreter.steps
         return self._reference_groups
+
+    def reference_trace(self) -> Optional[ReferenceTrace]:
+        """The trace injected trials resume from, or None when they run
+        in full (see :meth:`ReferenceTrace.seal`)."""
+        self.reference_groups()
+        return self._trace
 
     def reference_steps(self) -> int:
         """Execution steps of the clean run (the watchdog baseline)."""
@@ -243,10 +540,21 @@ class StabilizationExperiment:
             replace(self.options, step_budget=budget)
             if budget is not None else self.options
         )
+        reference = self.reference_groups()
+        trace = self._trace
+        resume = trace.resume(target_step, injector) if trace else None
+        span.set_attr("resumed_at", resume.index if resume else None)
         events = get_event_log()
+        interpreter = self._engine(injector, options)
         try:
-            interpreter = self._run(injector, options)
+            if resume is None:
+                interpreter.run()
+            else:
+                resume.run(interpreter)
         except StepBudgetExceeded:
+            interpreter = None
+        span.set_attr("stopped_at", resume.stopped_at if resume else None)
+        if interpreter is None:
             # The corrupted run never finished: a runaway loop or
             # explosion of work.  Recorded as a timeout, never a hang.
             span.count("steps", budget or 0)
@@ -270,7 +578,6 @@ class StabilizationExperiment:
         span.count("steps", interpreter.steps)
         span.count("ignored_errors", len(interpreter.error_log))
         faulty_groups = interpreter.outputs_by_iteration()
-        reference = self.reference_groups()
         injection_iteration = injector.injection_iteration
         if injection_iteration is None:
             # The injector replaced a value with an equal one or never hit

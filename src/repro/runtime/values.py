@@ -7,7 +7,8 @@ or ``None`` (Java ``null``).
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Optional, Sequence
 
 from repro.lang import ast
 
@@ -68,6 +69,107 @@ class BufferVal:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BufferVal({self.items!r})"
+
+
+#: The reference types; every other runtime value is an immutable primitive.
+REFERENCE_TYPES = (ObjectVal, ArrayVal, BufferVal)
+
+
+def copy_graph(roots: Sequence[object]) -> list[object]:
+    """Copies of ``roots`` and everything they reach, with one copy per
+    original object, so aliasing among and within the roots survives.
+    Primitives are immutable and shared.  An array whose ``default`` is
+    not None has a primitive element type (the type checker guarantees
+    it), so its items are copied without a scan."""
+    copies: dict[int, object] = {}
+    pending: list[object] = []
+
+    def visit(value: object) -> object:
+        kind = type(value)
+        if kind not in REFERENCE_TYPES:
+            return value
+        twin = copies.get(id(value))
+        if twin is None:
+            if kind is ObjectVal:
+                twin = ObjectVal(value.class_name, dict(value.fields))
+                pending.append(twin)
+            else:
+                twin = kind.__new__(kind)
+                twin.items = list(value.items)
+                twin.default = value.default
+                if value.default is None:
+                    pending.append(twin)
+            copies[id(value)] = twin
+        return twin
+
+    result = [visit(root) for root in roots]
+    while pending:
+        twin = pending.pop()
+        if type(twin) is ObjectVal:
+            fields = twin.fields
+            for name, value in fields.items():
+                fields[name] = visit(value)
+        else:
+            twin.items[:] = map(visit, twin.items)
+    return result
+
+
+def _same_primitive(left: object, right: object) -> bool:
+    if left is right:
+        return True
+    if type(left) is not type(right) or left != right:
+        return False
+    return (
+        type(left) is not float or left != 0.0
+        or math.copysign(1.0, left) == math.copysign(1.0, right)
+    )
+
+
+def same_graph(left: Sequence[object], right: Sequence[object]) -> bool:
+    """Whether two heaps, given as parallel root lists, are the same up
+    to object identity: one-to-one corresponding objects of the same
+    class and shape, the same aliasing, and primitives that behave
+    identically from here on: the same object, or equal values of one
+    type that are not zeros of opposite sign (``1``, ``1.0`` and
+    ``True`` differ; ``-0.0`` and ``0.0`` differ; distinct NaNs differ)."""
+    if len(left) != len(right):
+        return False
+    paired: dict[int, object] = {}
+    taken: set[int] = set()
+    pending = list(zip(left, right))
+    while pending:
+        a, b = pending.pop()
+        kind = type(a)
+        if kind not in REFERENCE_TYPES:
+            if not _same_primitive(a, b):
+                return False
+            continue
+        if type(b) is not kind:
+            return False
+        twin = paired.get(id(a))
+        if twin is not None:
+            if twin is not b:
+                return False
+            continue
+        if id(b) in taken:
+            return False
+        paired[id(a)] = b
+        taken.add(id(b))
+        if kind is ObjectVal:
+            fields = b.fields
+            if a.class_name != b.class_name or a.fields.keys() != fields.keys():
+                return False
+            pending.extend((value, fields[name]) for name, value in a.fields.items())
+        elif (
+            len(a.items) != len(b.items)
+            or not _same_primitive(a.default, b.default)
+        ):
+            return False
+        elif a.default is None:
+            pending.extend(zip(a.items, b.items))
+        elif not all(map(_same_primitive, a.items, b.items)):
+            return False
+    return True
 
 
 def default_value(node: ast.TypeNode) -> object:

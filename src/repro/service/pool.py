@@ -182,10 +182,19 @@ class ResilientPool:
             )
             broken = False
             try:
-                futures = [
-                    (index, executor.submit(fn, payloads[index]))
-                    for index in batch
-                ]
+                futures = []
+                for position, index in enumerate(batch):
+                    try:
+                        futures.append(
+                            (index, executor.submit(fn, payloads[index]))
+                        )
+                    except BrokenProcessPool:
+                        # A worker died while the batch was still being
+                        # submitted: these tasks never ran, so requeue
+                        # them without charging a retry (the task that
+                        # crashed is charged below).
+                        pending.extend(batch[position:])
+                        break
                 for index, future in futures:
                     if broken:
                         # The pool died under an earlier task; these

@@ -87,6 +87,20 @@ class TestTornManifest:
         assert apps_blob(report) == apps_blob(baseline)
         assert injector.summary()["injected"] > 0
 
+    def test_a_torn_last_checkpoint_is_rewritten(self, tmp_path):
+        """Every write tears once, the last one included; the run still
+        ends with a readable manifest holding every shard."""
+        checkpoint = tmp_path / "ck.json"
+        injector = ChaosInjector(
+            ChaosConfig(rate=1.0, faults=("torn-manifest",))
+        )
+        with installed_chaos(injector):
+            report = CampaignRunner(
+                config=tiny_config(), checkpoint_path=checkpoint
+            ).run()
+        manifest = json.loads(checkpoint.read_text())
+        assert len(manifest["shards"]) == report["shards"]["planned"]
+
     def test_resume_after_torn_final_checkpoint(self, tmp_path):
         """Tear every checkpoint write, stop mid-campaign, then resume
         without chaos: the torn file is quarantined, the sweep restarts,

@@ -3,10 +3,12 @@ enforce wall-clock timeouts, and never silently drop a task."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import random
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from repro.service.pool import ResilientPool, TaskFailure
@@ -100,6 +102,50 @@ class TestWorkerCrash:
         # the bystander tasks were requeued, not charged, and completed
         assert outcomes[1] == {"value": 2}
         assert outcomes[2] == {"value": 4}
+
+
+def _pools_breaking_during_submission() -> type:
+    """A process-pool class whose first pool loses its first task's
+    worker before the second task is submitted; later pools run every
+    task."""
+    made = []
+
+    class Pool:
+        def __init__(self, max_workers: int) -> None:
+            made.append(self)
+            self.first = len(made) == 1
+            self.submitted = 0
+
+        def submit(self, fn, payload):
+            self.submitted += 1
+            future = concurrent.futures.Future()
+            if not self.first:
+                future.set_result(fn(payload))
+            elif self.submitted == 1:
+                future.set_exception(BrokenProcessPool("worker died"))
+            else:
+                raise BrokenProcessPool("worker died")
+            return future
+
+        def shutdown(self, wait: bool, cancel_futures: bool) -> None:
+            pass
+
+    return Pool
+
+
+class TestSubmissionRace:
+    def test_a_pool_broken_mid_submission_requeues_the_rest(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor",
+            _pools_breaking_during_submission(),
+        )
+        pool = ResilientPool(max_workers=2, max_retries=1, sleep=lambda s: None)
+        outcomes = collect(pool, _double, [{"value": v} for v in range(3)])
+        assert outcomes == {i: {"value": i * 2} for i in range(3)}
+        assert pool.attempts_of(0) == 2  # charged for the crash
+        assert pool.attempts_of(1) == pool.attempts_of(2) == 1
 
 
 def _crash_once_or_double(payload: dict) -> dict:
