@@ -31,11 +31,10 @@ must survive the process boundary, e.g. a SIGKILLed worker's retry)
 guarantees a planned fault fires on the first delivery only, which is
 what lets a crashed shard's retry complete.
 
-Like :class:`~repro.obs.trace.NullTracer` and
-:class:`~repro.obs.events.NullEventLog`, the default injector is
-:class:`NullChaosInjector` whose probes are no-ops — instrumented
-infrastructure paths pay one global read and a predicate call when
-chaos is off, pinned by a micro-benchmark in
+Like the tracer and the event log, the injector sits in a
+:class:`~repro.obs.slot.Slot` whose default :class:`NullChaosInjector`
+probes are no-ops — instrumented infrastructure paths pay one slot read
+and a predicate call when chaos is off, pinned by a micro-benchmark in
 ``tests/chaos/test_injector.py``.
 
 Every injected fault emits a ``chaos.<fault>`` event (level ``warn``)
@@ -55,13 +54,13 @@ import os
 import signal
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.obs import global_registry
 from repro.obs.events import get_event_log
+from repro.obs.slot import Slot
 
 #: The fault classes the injector can plan.
 FAULTS = (
@@ -449,36 +448,8 @@ class NullChaosInjector:
         return None
 
 
-_NULL_CHAOS = NullChaosInjector()
-_chaos_lock = threading.Lock()
-_current_chaos: ChaosInjector | NullChaosInjector = _NULL_CHAOS
-
-
-def get_chaos() -> ChaosInjector | NullChaosInjector:
-    """The process-wide injector instrumented infrastructure probes."""
-    return _current_chaos
-
-
-def set_chaos(
-    injector: Optional[ChaosInjector | NullChaosInjector],
-) -> ChaosInjector | NullChaosInjector:
-    """Install ``injector`` (None restores the no-op default); returns
-    the previously installed one so callers can restore it."""
-    global _current_chaos
-    with _chaos_lock:
-        previous = _current_chaos
-        _current_chaos = injector if injector is not None else _NULL_CHAOS
-    return previous
-
-
-@contextmanager
-def installed_chaos(
-    injector: ChaosInjector | NullChaosInjector,
-) -> Iterator[ChaosInjector | NullChaosInjector]:
-    """Scoped :func:`set_chaos` — the previous injector is restored on
-    exit, so tests and CLI commands cannot leak fault injection."""
-    previous = set_chaos(injector)
-    try:
-        yield injector
-    finally:
-        set_chaos(previous)
+#: The process-wide injector instrumented infrastructure probes.
+_CHAOS: Slot[ChaosInjector | NullChaosInjector] = Slot(NullChaosInjector())
+get_chaos = _CHAOS.get
+set_chaos = _CHAOS.set
+installed_chaos = _CHAOS.installed

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs import get_tracer
+from repro.obs import get_tracer, section
 
 from repro.core.environment import LocationWorld
 from repro.core.errors import Check, Diagnostic, DiagnosticSink, Severity
@@ -102,13 +102,8 @@ class SJavaChecker:
             self.call_graph: CallGraph = build_call_graph(info)
 
     def run(self) -> CheckReport:
-        from repro.obs.profile import get_profiler
-        from repro.obs.resources import get_resource_monitor
-
         tracer = get_tracer()
-        with get_profiler().section("checker.check"), get_resource_monitor().section(
-            "checker.check"
-        ):
+        with section("checker.check"):
             with tracer.span("check") as span:
                 report = self._run(tracer)
                 span.count("diagnostics", len(report.diagnostics))

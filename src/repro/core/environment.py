@@ -322,13 +322,6 @@ class LocationWorld:
                 return element
         return None
 
-    def field_loc_lattice(self, class_name: str, field_name: str) -> Optional[Lattice]:
-        """The lattice that owns the field's location element."""
-        for owner in self.info.ancestry(class_name):
-            if (owner, field_name) in self.field_locs:
-                return self.field_lattices[class_name]
-        return None
-
     def resolve_spec(
         self,
         spec: anns.LocSpec,

@@ -83,7 +83,8 @@ class NodeView:
 
 
 class _RoundInjector:
-    """Adapts an :class:`ErrorInjector` to the fabric's round clock.
+    """Adapts an :class:`ErrorInjector` (or a :class:`StepCounter`) to
+    the fabric's round clock.
 
     Every activation is iteration 0 of a fresh engine run, so the
     interpreter's own ``begin_iteration(0)`` calls are dropped and the
@@ -91,7 +92,7 @@ class _RoundInjector:
     ``injection_iteration`` then records the fabric *round*.
     """
 
-    def __init__(self, inner: ErrorInjector) -> None:
+    def __init__(self, inner: ErrorInjector | StepCounter) -> None:
         self.inner = inner
 
     def begin_round(self, round_index: int) -> None:
@@ -230,16 +231,16 @@ class DistExperiment:
         self,
         rounds: int,
         initial: Optional[list[tuple]] = None,
-        injector: Optional[object] = None,
-        inject_node: Optional[int] = None,
+        injectors: Optional[dict[int, _RoundInjector]] = None,
         step_budget: Optional[int] = None,
         start_round: int = 0,
     ) -> SimResult:
-        """Run the fabric for ``rounds`` rounds.  ``injector`` (if any)
-        is attached to ``inject_node``'s activations only; pass a
-        :class:`_RoundInjector`-wrapped injector so its iteration clock
-        tracks fabric rounds.  Raises :class:`StepBudgetExceeded` when
-        the cumulative step budget runs out."""
+        """Run the fabric for ``rounds`` rounds.  ``injectors`` maps a
+        node to the :class:`_RoundInjector` attached to that node's
+        activations; its clock tracks fabric rounds.  Raises
+        :class:`StepBudgetExceeded` when the cumulative step budget runs
+        out."""
+        injectors = injectors or {}
         topo = self.topology
         states: list[tuple] = list(
             initial
@@ -250,7 +251,7 @@ class DistExperiment:
         steps = 0
         errors = 0
         for r in range(start_round, start_round + rounds):
-            if injector is not None:
+            for injector in injectors.values():
                 injector.begin_round(r)
             order = self.scheduler.order(r, topo.nodes)
             source = list(states) if self.scheduler.synchronous else states
@@ -259,9 +260,8 @@ class DistExperiment:
                 budget = (
                     step_budget - steps if step_budget is not None else None
                 )
-                node_injector = injector if node == inject_node else None
                 new_state, used, errs = self._activate(
-                    node, r, source, node_injector, budget
+                    node, r, source, injectors.get(node), budget
                 )
                 steps += used
                 errors += errs
@@ -288,48 +288,14 @@ class DistExperiment:
     def node_site_counts(self) -> list[int]:
         """Injectable sites per node across the injection horizon."""
         if self._site_counts is None:
-            counters = [StepCounter() for _ in range(self.nodes)]
-
-            class _Fanout:
-                def __init__(self, counters):
-                    self.counters = counters
-                    self.node: Optional[int] = None
-
-                def begin_round(self, r):  # noqa: ARG002
-                    pass
-
-                def begin_iteration(self, i):  # noqa: ARG002
-                    pass
-
-                def site(self, value, node):
-                    self.counters[self.node].site(value, node)
-                    return value
-
-            fanout = _Fanout(counters)
-            # Run the counting simulation manually so every node gets
-            # its own counter: reuse simulate() per-node attachment by
-            # swapping the fanout's target inside _activate order.
-            topo = self.topology
-            states = [self.spec.init(i, topo) for i in range(topo.nodes)]
-            for r in range(self.rounds):
-                order = self.scheduler.order(r, topo.nodes)
-                source = (
-                    list(states) if self.scheduler.synchronous else states
-                )
-                staged: dict[int, tuple] = {}
-                for node in order:
-                    fanout.node = node
-                    new_state, _, _ = self._activate(
-                        node, r, source, fanout, None
-                    )
-                    if self.scheduler.synchronous:
-                        staged[node] = new_state
-                    else:
-                        states[node] = new_state
-                if self.scheduler.synchronous:
-                    for node, new_state in staged.items():
-                        states[node] = new_state
-            self._site_counts = [c.step for c in counters]
+            counters = {
+                node: _RoundInjector(StepCounter())
+                for node in range(self.nodes)
+            }
+            self.simulate(self.rounds, injectors=counters)
+            self._site_counts = [
+                counters[node].inner.step for node in range(self.nodes)
+            ]
         return self._site_counts
 
     def total_steps(self) -> int:
@@ -415,8 +381,7 @@ class DistExperiment:
         try:
             sim = self.simulate(
                 self.horizon(),
-                injector=injector,
-                inject_node=node,
+                injectors={node: injector},
                 step_budget=self._trial_budget(),
             )
         except StepBudgetExceeded:

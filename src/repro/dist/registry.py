@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.apps.registry import DIST_APP_NAMES, load_app
-from repro.dist.harness import MAX_DEGREE, PAD, DistAppSpec, DistExperiment, NodeView
+from repro.dist.harness import PAD, DistAppSpec, DistExperiment, NodeView
 from repro.dist.scheduler import make_scheduler
 from repro.dist.topology import Topology, make_topology
 

@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.lang import ast
 from repro.lang.callgraph import CallGraph, MethodKey, build_call_graph
-from repro.obs import get_tracer
+from repro.obs import get_tracer, section
 from repro.lang.symtab import BuiltinCall, MethodCall, ProgramInfo
 
 FlowNode = tuple[str, ...]
@@ -70,9 +70,6 @@ class MethodFlowGraph:
         self.nodes.add(src)
         self.nodes.add(dst)
         self.edges.add((src, dst))
-
-    def successors(self, node: FlowNode) -> list[FlowNode]:
-        return [b for (a, b) in self.edges if a == node]
 
     def rename_root(self, root: str, prefix: FlowNode) -> None:
         """Rewrite every node rooted at ``root`` to start with ``prefix``
@@ -138,13 +135,8 @@ class ValueFlowAnalysis:
         # Two passes give the fixed point in the presence of summaries
         # that may grow (the scope is recursion-free so one pass in
         # topological order already suffices; the second is a safety net).
-        from repro.obs.profile import get_profiler
-        from repro.obs.resources import get_resource_monitor
-
         tracer = get_tracer()
-        with get_profiler().section("infer.fixpoint"), get_resource_monitor().section(
-            "infer.fixpoint"
-        ):
+        with section("infer.fixpoint"):
             self._run_rounds(order, tracer)
         return self.graphs
 

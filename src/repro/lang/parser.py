@@ -119,12 +119,6 @@ class _Parser:
 
     # -- types ----------------------------------------------------------
 
-    def looks_like_type(self) -> bool:
-        token = self.peek()
-        if token.kind is TokenKind.KEYWORD and token.value in _PRIM_TYPES:
-            return True
-        return token.kind is TokenKind.IDENT
-
     def parse_type(self) -> ast.TypeNode:
         token = self.peek()
         if token.kind is TokenKind.KEYWORD and token.value in _PRIM_TYPES:

@@ -73,9 +73,6 @@ class ProgramInfo:
         except KeyError:
             raise ResolveError(f"unknown class {name!r}") from None
 
-    def superclass_of(self, name: str) -> Optional[str]:
-        return self.class_named(name).superclass
-
     def ancestry(self, name: str) -> Iterator[str]:
         """Yield ``name`` and then each superclass, root last."""
         current: Optional[str] = name

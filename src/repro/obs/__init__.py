@@ -29,7 +29,8 @@ Three pieces (see ``docs/OBSERVABILITY.md``):
   engine behind ``repro bench --attribute`` (see
   ``docs/BENCHMARKS.md``);
 * **profile** (:mod:`repro.obs.profile`) — a low-overhead sampling
-  wall-clock profiler with instrumented anchors in the interpreter
+  wall-clock profiler with instrumented anchors (``section(name)``,
+  shared with the resource monitor) in the interpreter
   step loop, the checker, and the inference fixpoint, emitting
   schema-versioned ``PROFILE_*.json`` payloads (``--profile-json``);
 * **resources** (:mod:`repro.obs.resources`) — memory & resource
@@ -43,6 +44,10 @@ Three pieces (see ``docs/OBSERVABILITY.md``):
 * **report** (:mod:`repro.obs.report`) — the deterministic single-file
   HTML dashboard behind ``repro report --html`` (convergence curves,
   shard timeline, event and bench tables).
+
+Each instrument is installed through one :class:`~repro.obs.slot.Slot`
+with a null default, and the BENCH/PROFILE/MEM payloads share one
+envelope and file codec (:mod:`repro.obs.codec`).
 
 The CLI surfaces all of it: ``--trace FILE`` writes a JSONL trace,
 ``--events FILE`` writes a JSONL event stream, ``--profile`` prints the
@@ -59,7 +64,6 @@ from repro.obs.bench import (
     attribute_benchmarks,
     bench_payload,
     compare_benchmarks,
-    environment_fingerprint,
     format_attribution,
     read_bench,
     register_scenario,
@@ -70,6 +74,7 @@ from repro.obs.bench import (
     validate_bench,
     write_bench,
 )
+from repro.obs.codec import environment_fingerprint
 from repro.obs.history import (
     HistoryWarning,
     bench_trend,
@@ -90,6 +95,7 @@ from repro.obs.profile import (
     installed_profiler,
     profile_payload,
     read_profile,
+    section,
     section_counts,
     set_profiler,
     validate_profile,
@@ -243,6 +249,7 @@ __all__ = [
     "installed_profiler",
     "profile_payload",
     "read_profile",
+    "section",
     "section_counts",
     "set_profiler",
     "validate_profile",

@@ -25,16 +25,13 @@ The JSON schema, the scenario registry, and the CI gate built on
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import statistics
-import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from repro.obs import codec
 from repro.obs.trace import Tracer, get_tracer, installed_tracer
 
 #: Bump when the BENCH_*.json payload layout changes.
@@ -539,40 +536,8 @@ def run_scenarios(
 
 
 # ---------------------------------------------------------------------------
-# Environment fingerprint and payload
+# Payload
 # ---------------------------------------------------------------------------
-
-
-def _git_sha() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
-
-
-def environment_fingerprint() -> dict:
-    """Where a bench payload was measured — enough to judge whether two
-    payloads are comparable at all."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "git_sha": _git_sha(),
-    }
-
-
-def utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def bench_payload(
@@ -586,23 +551,16 @@ def bench_payload(
 ) -> dict:
     """The schema-versioned JSON form of one bench run."""
     return {
-        "schema": BENCH_SCHEMA,
-        "kind": "bench",
-        "created_utc": created_utc if created_utc is not None else utc_now(),
+        **codec.envelope(
+            BENCH_SCHEMA, "bench",
+            fingerprint=fingerprint, created_utc=created_utc,
+        ),
         "suite": suite,
         "warmup": warmup,
         "repetitions": repetitions,
-        "fingerprint": (
-            fingerprint if fingerprint is not None
-            else environment_fingerprint()
-        ),
         "scenarios": list(results),
     }
 
-
-_FINGERPRINT_KEYS = (
-    "python", "implementation", "platform", "machine", "cpu_count", "git_sha",
-)
 
 _SCENARIO_NUMBER_KEYS = (
     "min_seconds", "median_seconds", "mean_seconds", "stddev_seconds",
@@ -612,23 +570,7 @@ _SCENARIO_NUMBER_KEYS = (
 def validate_bench(payload: dict) -> dict:
     """Raise :class:`BenchError` unless ``payload`` is a well-formed
     bench document (the schema in ``docs/BENCHMARKS.md``); returns it."""
-    if not isinstance(payload, dict):
-        raise BenchError("bench payload must be a JSON object")
-    if payload.get("schema") != BENCH_SCHEMA:
-        raise BenchError(
-            f"unsupported bench schema {payload.get('schema')!r} "
-            f"(speaking {BENCH_SCHEMA})"
-        )
-    if payload.get("kind") != "bench":
-        raise BenchError(f"unknown bench kind {payload.get('kind')!r}")
-    if not isinstance(payload.get("created_utc"), str):
-        raise BenchError("created_utc must be a string")
-    fingerprint = payload.get("fingerprint")
-    if not isinstance(fingerprint, dict):
-        raise BenchError("fingerprint must be an object")
-    missing = [key for key in _FINGERPRINT_KEYS if key not in fingerprint]
-    if missing:
-        raise BenchError(f"fingerprint missing keys {missing}")
+    codec.check_envelope(payload, BENCH_SCHEMA, "bench", BenchError)
     scenarios = payload.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         raise BenchError("scenarios must be a non-empty list")
@@ -749,36 +691,40 @@ def _validate_memory_section(name: str, memory) -> None:
 
 def read_bench(path: str | Path) -> dict:
     """Parse and validate one BENCH json file."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise BenchError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return validate_bench(payload)
-    except BenchError as exc:
-        raise BenchError(f"{path}: {exc}") from exc
+    return codec.read_payload(path, validate_bench, BenchError)
 
 
-def dumps_bench(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+dumps_bench = codec.dumps_payload
 
 
 def write_bench(payload: dict, path: str | Path | None = None) -> Path:
     """Write ``payload`` to ``path``, defaulting to
-    ``BENCH_<UTCSTAMP>.json`` in the current directory so the perf
-    trajectory accumulates at the repo root across runs."""
-    if path is None:
-        stamp = payload["created_utc"].replace("-", "").replace(":", "")
-        path = Path.cwd() / f"BENCH_{stamp}.json"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_bench(payload), encoding="utf-8")
-    return path
+    ``BENCH_<UTCSTAMP>.json`` in the current directory."""
+    return codec.write_payload(payload, path, "BENCH")
 
 
 # ---------------------------------------------------------------------------
 # Comparator — the regression gate
 # ---------------------------------------------------------------------------
+
+
+def judge_shift(
+    old: float, new: float, noise: float, threshold_pct: float
+) -> tuple[Optional[float], str]:
+    """The gate's rule for one pair of medians: a shift is meaningful
+    only when it exceeds ``noise``, and a meaningful shift beyond
+    ±``threshold_pct`` is a regression (larger) or an improvement
+    (smaller).  Returns ``(delta_pct, status)``; on a zero baseline
+    ``delta_pct`` is None and any meaningful nonzero value regresses."""
+    meaningful = abs(new - old) > noise
+    if old <= 0:
+        return None, REGRESSION if meaningful and new > 0 else WITHIN_NOISE
+    delta_pct = (new - old) / old * 100.0
+    if meaningful and delta_pct > threshold_pct:
+        return delta_pct, REGRESSION
+    if meaningful and delta_pct < -threshold_pct:
+        return delta_pct, IMPROVEMENT
+    return delta_pct, WITHIN_NOISE
 
 
 def compare_benchmarks(
@@ -819,25 +765,13 @@ def compare_benchmarks(
         }
         new_s = new_by.get(name)
         if new_s is not None:
-            old_med = float(old_s["median_seconds"])
             new_med = float(new_s["median_seconds"])
             noise = float(old_s["stddev_seconds"]) + float(
                 new_s["stddev_seconds"]
             )
-            meaningful = abs(new_med - old_med) > noise
-            delta_pct = (
-                (new_med - old_med) / old_med * 100.0 if old_med > 0 else None
+            delta_pct, status = judge_shift(
+                float(old_s["median_seconds"]), new_med, noise, threshold_pct
             )
-            if delta_pct is None:
-                # degenerate zero baseline: any meaningful time is slower
-                status = REGRESSION if (meaningful and new_med > 0) \
-                    else WITHIN_NOISE
-            elif meaningful and delta_pct > threshold_pct:
-                status = REGRESSION
-            elif meaningful and delta_pct < -threshold_pct:
-                status = IMPROVEMENT
-            else:
-                status = WITHIN_NOISE
             row.update(
                 new_median_seconds=new_med,
                 delta_pct=delta_pct,
@@ -897,19 +831,7 @@ def _compare_memory(
         noise = float(old_m.get("alloc_stddev_bytes", 0.0)) + float(
             new_m.get("alloc_stddev_bytes", 0.0)
         )
-        meaningful = abs(new_med - old_med) > noise
-        delta_pct = (
-            (new_med - old_med) / old_med * 100.0 if old_med > 0 else None
-        )
-        if delta_pct is None:
-            status = REGRESSION if (meaningful and new_med > 0) \
-                else WITHIN_NOISE
-        elif meaningful and delta_pct > threshold_pct:
-            status = REGRESSION
-        elif meaningful and delta_pct < -threshold_pct:
-            status = IMPROVEMENT
-        else:
-            status = WITHIN_NOISE
+        delta_pct, status = judge_shift(old_med, new_med, noise, threshold_pct)
         rows.append({
             "name": name,
             "old_alloc_median_bytes": old_med,

@@ -41,10 +41,10 @@ import json
 import logging
 import threading
 import time
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.obs.sinks import JsonlWriter, read_jsonl
+from repro.obs.slot import Slot
 from repro.obs.trace import get_tracer
 
 #: Bump when the event envelope layout changes.
@@ -173,39 +173,11 @@ class NullEventLog:
         return None
 
 
-_NULL_EVENT_LOG = NullEventLog()
-_event_log_lock = threading.Lock()
-_current_event_log: EventLog | NullEventLog = _NULL_EVENT_LOG
-
-
-def get_event_log() -> EventLog | NullEventLog:
-    """The process-wide event log instrumented code reports to."""
-    return _current_event_log
-
-
-def set_event_log(
-    log: Optional[EventLog | NullEventLog],
-) -> EventLog | NullEventLog:
-    """Install ``log`` (None restores the no-op default); returns the
-    previously installed log so callers can restore it."""
-    global _current_event_log
-    with _event_log_lock:
-        previous = _current_event_log
-        _current_event_log = log if log is not None else _NULL_EVENT_LOG
-    return previous
-
-
-@contextmanager
-def installed_event_log(
-    log: EventLog | NullEventLog,
-) -> Iterator[EventLog | NullEventLog]:
-    """Scoped :func:`set_event_log` — the previous log is restored on
-    exit, so tests and CLI commands cannot leak logging state."""
-    previous = set_event_log(log)
-    try:
-        yield log
-    finally:
-        set_event_log(previous)
+#: The process-wide event log instrumented code reports to.
+_EVENT_LOG: Slot[EventLog | NullEventLog] = Slot(NullEventLog())
+get_event_log = _EVENT_LOG.get
+set_event_log = _EVENT_LOG.set
+installed_event_log = _EVENT_LOG.installed
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ from repro.obs.bench import (
     BenchError,
     IMPROVEMENT,
     REGRESSION,
+    WITHIN_NOISE,
+    judge_shift,
     read_bench,
 )
 from repro.obs.events import get_event_log
@@ -172,9 +174,10 @@ def detect_changepoints(
 
     Segment-based: each point is judged against the *current segment*
     (every point since the last changepoint) — shift beyond the noise
-    envelope (median segment stddev + the point's stddev, the
-    ``--compare`` rule) **and** beyond ``threshold_pct`` of the segment
-    median.  A detected changepoint starts a new segment at that point.
+    envelope (median segment stddev + the point's stddev) **and**
+    beyond ``threshold_pct`` of the segment median, judged by the
+    ``--compare`` gate's :func:`~repro.obs.bench.judge_shift`.  A
+    detected changepoint starts a new segment at that point.
 
     ``value_key``/``noise_key`` select the judged metric: the defaults
     give the wall-time trend, and the memory trend runs the same
@@ -196,18 +199,19 @@ def detect_changepoints(
             p[noise_key] for p in segment
         )
         point = points[index]
-        delta = point[value_key] - base_median
         noise = base_noise + point[noise_key]
         if base_median <= 0:
             continue
-        delta_pct = delta / base_median * 100.0
-        if abs(delta) > noise and abs(delta_pct) > threshold_pct:
+        delta_pct, status = judge_shift(
+            base_median, point[value_key], noise, threshold_pct
+        )
+        if status != WITHIN_NOISE:
             changepoints.append({
                 "index": index,
                 "file": point["file"],
                 "created_utc": point["created_utc"],
                 "git_sha": point.get("git_sha"),
-                "direction": REGRESSION if delta > 0 else IMPROVEMENT,
+                "direction": status,
                 "delta_pct": delta_pct,
                 "baseline_median_seconds": base_median,
                 "median_seconds": point[value_key],

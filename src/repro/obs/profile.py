@@ -11,8 +11,9 @@ samples (no ``sys.setprofile``/``sys.settrace`` hooks, no signals —
 safe under worker threads and pools).
 
 Instrumented anchor points — the interpreter step loop, the checker
-passes, the inference fixpoint — mark themselves with
-:meth:`~SamplingProfiler.section`, a thread-local label stack.  Each
+passes, the inference fixpoint — open :func:`section`, which enters
+:meth:`~SamplingProfiler.section`, a thread-local label stack, and the
+resource monitor's section of the same name.  Each
 stack sample records the innermost active section, so profile payloads
 join the trace vocabulary (``interpreter.step`` samples land under the
 same name the span tree shows) and ``repro bench --attribute`` can
@@ -20,8 +21,9 @@ cross-reference both.
 
 Like tracing and events, profiling is strictly opt-in: the default
 profiler is a :class:`NullProfiler` whose :meth:`~NullProfiler.section`
-hands back one shared no-op context manager, pinned by a
-micro-benchmark in ``tests/obs/test_profile.py`` to the same bound as
+hands back the shared no-op :data:`~repro.obs.slot.NULL_SECTION`, as
+:func:`section` does with both instruments off, pinned by
+micro-benchmarks in ``tests/obs/test_profile.py`` to the same bound as
 the null tracer — the anchors sit inside the runtime's hot loops.
 
 Payloads are schema-versioned ``PROFILE_<UTCSTAMP>.json`` documents
@@ -33,13 +35,16 @@ byte-deterministic golden payloads.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
+
+from repro.obs import codec
+from repro.obs.resources import get_resource_monitor
+from repro.obs.slot import NULL_SECTION, Slot
 
 #: Bump when the PROFILE_*.json payload layout changes.
 PROFILE_SCHEMA = 1
@@ -233,22 +238,6 @@ class SamplingProfiler:
         )
 
 
-class _NullSection:
-    """The shared do-nothing context manager the null profiler hands
-    out — one attribute lookup plus one call on the hot path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SECTION = _NullSection()
-
-
 class NullProfiler:
     """The disabled profiler: ``section()`` is a shared no-op context
     manager.  Kept deliberately trivial — the anchors sit in the
@@ -258,8 +247,8 @@ class NullProfiler:
     interval_seconds = 0.0
     sample_count = 0
 
-    def section(self, name: str) -> _NullSection:
-        return _NULL_SECTION
+    def section(self, name: str):
+        return NULL_SECTION
 
     def sample_now(self) -> int:
         return 0
@@ -268,41 +257,31 @@ class NullProfiler:
         return []
 
 
-_NULL_PROFILER = NullProfiler()
-_profiler_lock = threading.Lock()
-_current_profiler: SamplingProfiler | NullProfiler = _NULL_PROFILER
+#: The process-wide profiler instrumented anchors report to.
+_PROFILER: Slot[SamplingProfiler | NullProfiler] = Slot(NullProfiler())
+get_profiler = _PROFILER.get
+set_profiler = _PROFILER.set
+installed_profiler = _PROFILER.installed
 
 
-def get_profiler() -> SamplingProfiler | NullProfiler:
-    """The process-wide profiler instrumented anchors report to."""
-    return _current_profiler
-
-
-def set_profiler(
-    profiler: Optional[SamplingProfiler | NullProfiler],
-) -> SamplingProfiler | NullProfiler:
-    """Install ``profiler`` (None restores the no-op default); returns
-    the previously installed profiler so callers can restore it."""
-    global _current_profiler
-    with _profiler_lock:
-        previous = _current_profiler
-        _current_profiler = (
-            profiler if profiler is not None else _NULL_PROFILER
-        )
-    return previous
+def section(name: str):
+    """The anchor the checker, the inference fixpoint and the event
+    loop open: it enters the installed profiler's and resource
+    monitor's ``section(name)``, profiler outermost, and is the shared
+    no-op :data:`~repro.obs.slot.NULL_SECTION` when both are off."""
+    profiler = get_profiler()
+    monitor = get_resource_monitor()
+    if not monitor.enabled:
+        return profiler.section(name)
+    if not profiler.enabled:
+        return monitor.section(name)
+    return _both_sections(profiler, monitor, name)
 
 
 @contextmanager
-def installed_profiler(
-    profiler: SamplingProfiler | NullProfiler,
-) -> Iterator[SamplingProfiler | NullProfiler]:
-    """Scoped :func:`set_profiler` — the previous profiler is restored
-    on exit, so tests and CLI commands cannot leak profiling state."""
-    previous = set_profiler(profiler)
-    try:
-        yield profiler
-    finally:
-        set_profiler(previous)
+def _both_sections(profiler, monitor, name: str) -> Iterator[None]:
+    with profiler.section(name), monitor.section(name):
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +300,17 @@ def profile_payload(
     """The schema-versioned JSON form of one profiling run.  The
     environment fingerprint and timestamp default to the live ones and
     are injectable for byte-stable golden tests."""
-    from repro.obs.bench import environment_fingerprint, utc_now
-
     samples = [dict(sample) for sample in samples]
     return {
-        "schema": PROFILE_SCHEMA,
-        "kind": "profile",
-        "created_utc": created_utc if created_utc is not None else utc_now(),
+        **codec.envelope(
+            PROFILE_SCHEMA, "profile",
+            fingerprint=fingerprint, created_utc=created_utc,
+        ),
         "interval_seconds": interval_seconds,
         "duration_seconds": duration_seconds,
         "sample_count": sum(int(s.get("count", 0)) for s in samples),
-        "fingerprint": (
-            fingerprint if fingerprint is not None
-            else environment_fingerprint()
-        ),
         "samples": samples,
     }
-
-
-_FINGERPRINT_KEYS = (
-    "python", "implementation", "platform", "machine", "cpu_count", "git_sha",
-)
 
 
 def validate_profile(payload: dict) -> dict:
@@ -349,27 +318,11 @@ def validate_profile(payload: dict) -> dict:
     profile document (the schema in ``docs/BENCHMARKS.md``); returns
     it.  An *empty* sample list is valid — a fast run can finish before
     the first sampling tick."""
-    if not isinstance(payload, dict):
-        raise ProfileError("profile payload must be a JSON object")
-    if payload.get("schema") != PROFILE_SCHEMA:
-        raise ProfileError(
-            f"unsupported profile schema {payload.get('schema')!r} "
-            f"(speaking {PROFILE_SCHEMA})"
-        )
-    if payload.get("kind") != "profile":
-        raise ProfileError(f"unknown profile kind {payload.get('kind')!r}")
-    if not isinstance(payload.get("created_utc"), str):
-        raise ProfileError("created_utc must be a string")
+    codec.check_envelope(payload, PROFILE_SCHEMA, "profile", ProfileError)
     for key in ("interval_seconds", "duration_seconds"):
         value = payload.get(key)
         if not isinstance(value, (int, float)) or value < 0:
             raise ProfileError(f"{key} must be a non-negative number")
-    fingerprint = payload.get("fingerprint")
-    if not isinstance(fingerprint, dict):
-        raise ProfileError("fingerprint must be an object")
-    missing = [key for key in _FINGERPRINT_KEYS if key not in fingerprint]
-    if missing:
-        raise ProfileError(f"fingerprint missing keys {missing}")
     samples = payload.get("samples")
     if not isinstance(samples, list):
         raise ProfileError("samples must be a list")
@@ -407,31 +360,16 @@ def validate_profile(payload: dict) -> dict:
 
 def read_profile(path: str | Path) -> dict:
     """Parse and validate one PROFILE json file."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ProfileError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return validate_profile(payload)
-    except ProfileError as exc:
-        raise ProfileError(f"{path}: {exc}") from exc
+    return codec.read_payload(path, validate_profile, ProfileError)
 
 
-def dumps_profile(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+dumps_profile = codec.dumps_payload
 
 
 def write_profile(payload: dict, path: str | Path | None = None) -> Path:
     """Write ``payload`` to ``path``, defaulting to
-    ``PROFILE_<UTCSTAMP>.json`` in the current directory (the same
-    trajectory convention as ``BENCH_*.json``)."""
-    if path is None:
-        stamp = payload["created_utc"].replace("-", "").replace(":", "")
-        path = Path.cwd() / f"PROFILE_{stamp}.json"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_profile(payload), encoding="utf-8")
-    return path
+    ``PROFILE_<UTCSTAMP>.json`` in the current directory."""
+    return codec.write_payload(payload, path, "PROFILE")
 
 
 # ---------------------------------------------------------------------------

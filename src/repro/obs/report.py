@@ -581,68 +581,29 @@ def _memory_section(benches: list[tuple[str, dict]]) -> str:
     )
 
 
-def _spark_figure(entry: dict) -> str:
-    """One perf-trajectory sparkline: the series' medians left to right,
-    scaled to the data range, with a dot on every changepoint (red for a
-    regression step, green for an improvement)."""
-    points = entry["points"]
-    medians = [p["median_seconds"] for p in points]
-    width, height, top = 150.0, 40.0, 5.0
-    low, high = min(medians), max(medians)
-    span = (high - low) or 1.0
-    xs = (
-        [width / 2] if len(medians) == 1
-        else [i * width / (len(medians) - 1) for i in range(len(medians))]
-    )
-
-    def y_of(value: float) -> float:
-        return top + height - (value - low) / span * height
-
-    parts = [f'<line class="axis" x1="0" y1="{top + height:g}" '
-             f'x2="{width:g}" y2="{top + height:g}" />']
-    if len(medians) > 1:
-        coords = " ".join(
-            f"{x:.2f},{y_of(v):.2f}" for x, v in zip(xs, medians)
-        )
-        parts.append(f'<polyline class="spark" points="{coords}" />')
-    for cp in entry["changepoints"]:
-        index = cp["index"]
-        parts.append(
-            f'<circle class="changepoint {cp["direction"]}" '
-            f'cx="{xs[index]:.2f}" cy="{y_of(medians[index]):.2f}" '
-            f'r="2.5" />'
-        )
-    net = entry.get("net_delta_pct")
-    svg = _tag(
-        "svg", "".join(parts),
-        viewBox=f"0 0 {width:g} {height + 2 * top:g}",
-        width="150", height="50",
-        data_scenario=entry["scenario"],
-        data_env=entry["env"],
-        data_points=len(points),
-        data_changepoints=len(entry["changepoints"]),
-    )
-    caption = (
-        f'{_esc(entry["scenario"])} · {len(points)} runs · '
-        f'net {_esc(None if net is None else f"{net:+.1f}%")}'
-    )
-    return _tag(
-        "figure", svg + f"<figcaption>{caption}</figcaption>", **{
-            "class": "curve",
-        }
-    )
-
-
-def _memory_spark_figure(entry: dict) -> str:
-    """One memory-trajectory sparkline: the series' median allocation
-    peaks (points without memory telemetry skipped), memory
-    changepoints dotted like the time trend."""
-    indexed = [
-        (index, p) for index, p in enumerate(entry["points"])
-        if p.get("alloc_median_bytes") is not None
+def _marked(
+    points: list[dict], key: str, changepoints: list[dict]
+) -> list[tuple[float, Optional[str]]]:
+    """The ``key`` values of ``points`` that carry one, each paired with
+    the direction of the changepoint at that point (None if none)."""
+    direction = {cp["index"]: cp["direction"] for cp in changepoints}
+    return [
+        (p[key], direction.get(index)) for index, p in enumerate(points)
+        if p.get(key) is not None
     ]
-    positions = {index: pos for pos, (index, _) in enumerate(indexed)}
-    values = [p["alloc_median_bytes"] for _, p in indexed]
+
+
+def _spark_figure(
+    entry: dict,
+    series: list[tuple[float, Optional[str]]],
+    net: Optional[float],
+    **data,
+) -> str:
+    """One trajectory sparkline for ``entry``'s scenario: the series'
+    values left to right, scaled to the data range, with a dot on every
+    changepoint (red for a regression step, green for an improvement).
+    ``data`` names the point count on the svg."""
+    values = [value for value, _ in series]
     width, height, top = 150.0, 40.0, 5.0
     low, high = min(values), max(values)
     span = (high - low) or 1.0
@@ -661,24 +622,19 @@ def _memory_spark_figure(entry: dict) -> str:
             f"{x:.2f},{y_of(v):.2f}" for x, v in zip(xs, values)
         )
         parts.append(f'<polyline class="spark" points="{coords}" />')
-    for cp in entry.get("memory_changepoints", []):
-        pos = positions.get(cp["index"])
-        if pos is None:
-            continue
-        parts.append(
-            f'<circle class="changepoint {cp["direction"]}" '
-            f'cx="{xs[pos]:.2f}" cy="{y_of(values[pos]):.2f}" '
-            f'r="2.5" />'
-        )
-    net = entry.get("net_memory_delta_pct")
+    dots = [
+        f'<circle class="changepoint {direction}" '
+        f'cx="{x:.2f}" cy="{y_of(value):.2f}" r="2.5" />'
+        for x, (value, direction) in zip(xs, series) if direction
+    ]
     svg = _tag(
-        "svg", "".join(parts),
+        "svg", "".join(parts + dots),
         viewBox=f"0 0 {width:g} {height + 2 * top:g}",
         width="150", height="50",
         data_scenario=entry["scenario"],
         data_env=entry["env"],
-        data_memory_points=len(values),
-        data_changepoints=len(entry.get("memory_changepoints", [])),
+        **data,
+        data_changepoints=len(dots),
     )
     caption = (
         f'{_esc(entry["scenario"])} · {len(values)} runs · '
@@ -718,9 +674,13 @@ def _trend_section(trend: dict) -> str:
         "mark changepoints (median shift beyond the noise envelope and "
         f'±{_fmt(trend["threshold_pct"])}%): red regression, green '
         "improvement.</p>",
-        _tag("div", "".join(_spark_figure(e) for e in series), **{
-            "class": "curves",
-        }),
+        _tag("div", "".join(
+            _spark_figure(
+                e, _marked(e["points"], "median_seconds", e["changepoints"]),
+                e.get("net_delta_pct"), data_points=len(e["points"]),
+            )
+            for e in series
+        ), **{"class": "curves"}),
     ]
     cp_rows = [
         (entry["scenario"], cp["created_utc"],
@@ -746,11 +706,16 @@ def _trend_section(trend: dict) -> str:
             "memory changepoints under the same noise + threshold "
             "rule, in bytes.</p>"
         )
-        sections.append(_tag(
-            "div",
-            "".join(_memory_spark_figure(e) for e in with_memory),
-            **{"class": "curves"},
-        ))
+        sections.append(_tag("div", "".join(
+            _spark_figure(
+                e,
+                _marked(e["points"], "alloc_median_bytes",
+                        e.get("memory_changepoints", [])),
+                e.get("net_memory_delta_pct"),
+                data_memory_points=e["memory_points"],
+            )
+            for e in with_memory
+        ), **{"class": "curves"}))
         mem_cp_rows = [
             (entry["scenario"], cp["created_utc"],
              (cp.get("git_sha") or "")[:12], cp["direction"],
@@ -855,6 +820,7 @@ def write_report(
     generated_at: Optional[str] = None,
 ) -> str:
     """Load the inputs, render, and write ``path``; returns the HTML."""
+    from repro.obs.bench import read_bench
     from repro.obs.events import read_events
 
     campaign = None
@@ -863,10 +829,7 @@ def write_report(
             Path(campaign_path).read_text(encoding="utf-8")
         )
     events = read_events(events_path) if events_path is not None else None
-    benches = [
-        (Path(bench).name, json.loads(Path(bench).read_text(encoding="utf-8")))
-        for bench in bench_paths
-    ]
+    benches = [(Path(bench).name, read_bench(bench)) for bench in bench_paths]
     trend = None
     if history_dir is not None:
         from repro.obs.history import bench_trend

@@ -34,13 +34,15 @@ byte-deterministic golden payloads.
 from __future__ import annotations
 
 import gc
-import json
 import sys
 import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, Optional
+
+from repro.obs import codec
+from repro.obs.slot import NULL_SECTION, Slot
 
 #: Bump when the MEM_*.json payload layout changes.
 RESOURCES_SCHEMA = 1
@@ -332,21 +334,6 @@ class ResourceMonitor:
         )
 
 
-class _NullSection:
-    """The shared do-nothing context manager the null monitor hands
-    out — one attribute lookup plus one call on the hot path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SECTION = _NullSection()
-
 _ZERO_GC = {
     "collections": 0,
     "pause_seconds_total": 0.0,
@@ -362,8 +349,8 @@ class NullResourceMonitor:
 
     enabled = False
 
-    def section(self, name: str) -> _NullSection:
-        return _NULL_SECTION
+    def section(self, name: str):
+        return NULL_SECTION
 
     def begin_sample(self) -> None:
         pass
@@ -390,41 +377,13 @@ class NullResourceMonitor:
         return (None, None)
 
 
-_NULL_MONITOR = NullResourceMonitor()
-_monitor_lock = threading.Lock()
-_current_monitor: ResourceMonitor | NullResourceMonitor = _NULL_MONITOR
-
-
-def get_resource_monitor() -> ResourceMonitor | NullResourceMonitor:
-    """The process-wide monitor instrumented anchors report to."""
-    return _current_monitor
-
-
-def set_resource_monitor(
-    monitor: Optional[ResourceMonitor | NullResourceMonitor],
-) -> ResourceMonitor | NullResourceMonitor:
-    """Install ``monitor`` (None restores the no-op default); returns
-    the previously installed monitor so callers can restore it."""
-    global _current_monitor
-    with _monitor_lock:
-        previous = _current_monitor
-        _current_monitor = (
-            monitor if monitor is not None else _NULL_MONITOR
-        )
-    return previous
-
-
-@contextmanager
-def installed_resource_monitor(
-    monitor: ResourceMonitor | NullResourceMonitor,
-) -> Iterator[ResourceMonitor | NullResourceMonitor]:
-    """Scoped :func:`set_resource_monitor` — the previous monitor is
-    restored on exit, so tests and CLI commands cannot leak state."""
-    previous = set_resource_monitor(monitor)
-    try:
-        yield monitor
-    finally:
-        set_resource_monitor(previous)
+#: The process-wide monitor instrumented anchors report to.
+_MONITOR: Slot[ResourceMonitor | NullResourceMonitor] = Slot(
+    NullResourceMonitor()
+)
+get_resource_monitor = _MONITOR.get
+set_resource_monitor = _MONITOR.set
+installed_resource_monitor = _MONITOR.installed
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +400,10 @@ def resources_payload(
     """The schema-versioned JSON form of one monitoring run.  The
     environment fingerprint and timestamp default to the live ones and
     are injectable for byte-stable golden tests."""
-    from repro.obs.bench import environment_fingerprint, utc_now
-
     return {
-        "schema": RESOURCES_SCHEMA,
-        "kind": "resources",
-        "created_utc": created_utc if created_utc is not None else utc_now(),
-        "fingerprint": (
-            fingerprint if fingerprint is not None
-            else environment_fingerprint()
+        **codec.envelope(
+            RESOURCES_SCHEMA, "resources",
+            fingerprint=fingerprint, created_utc=created_utc,
         ),
         "duration_seconds": float(snapshot.get("duration_seconds", 0.0)),
         "peak_rss_bytes": snapshot.get("peak_rss_bytes"),
@@ -459,11 +413,6 @@ def resources_payload(
         "sections": list(snapshot.get("sections", [])),
         "caches": dict(snapshot.get("caches", {})),
     }
-
-
-_FINGERPRINT_KEYS = (
-    "python", "implementation", "platform", "machine", "cpu_count", "git_sha",
-)
 
 
 def _require_optional_nonneg_int(payload: dict, key: str) -> None:
@@ -476,25 +425,9 @@ def validate_resources(payload: dict) -> dict:
     """Raise :class:`ResourceError` unless ``payload`` is a well-formed
     resources document (the schema in ``docs/BENCHMARKS.md``); returns
     it."""
-    if not isinstance(payload, dict):
-        raise ResourceError("resources payload must be a JSON object")
-    if payload.get("schema") != RESOURCES_SCHEMA:
-        raise ResourceError(
-            f"unsupported resources schema {payload.get('schema')!r} "
-            f"(speaking {RESOURCES_SCHEMA})"
-        )
-    if payload.get("kind") != "resources":
-        raise ResourceError(
-            f"unknown resources kind {payload.get('kind')!r}"
-        )
-    if not isinstance(payload.get("created_utc"), str):
-        raise ResourceError("created_utc must be a string")
-    fingerprint = payload.get("fingerprint")
-    if not isinstance(fingerprint, dict):
-        raise ResourceError("fingerprint must be an object")
-    missing = [key for key in _FINGERPRINT_KEYS if key not in fingerprint]
-    if missing:
-        raise ResourceError(f"fingerprint missing keys {missing}")
+    codec.check_envelope(
+        payload, RESOURCES_SCHEMA, "resources", ResourceError
+    )
     duration = payload.get("duration_seconds")
     if not isinstance(duration, (int, float)) or duration < 0:
         raise ResourceError("duration_seconds must be a non-negative number")
@@ -548,31 +481,16 @@ def validate_resources(payload: dict) -> dict:
 
 def read_resources(path: str | Path) -> dict:
     """Parse and validate one MEM json file."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ResourceError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return validate_resources(payload)
-    except ResourceError as exc:
-        raise ResourceError(f"{path}: {exc}") from exc
+    return codec.read_payload(path, validate_resources, ResourceError)
 
 
-def dumps_resources(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+dumps_resources = codec.dumps_payload
 
 
 def write_resources(payload: dict, path: str | Path | None = None) -> Path:
     """Write ``payload`` to ``path``, defaulting to
-    ``MEM_<UTCSTAMP>.json`` in the current directory (the same
-    trajectory convention as ``BENCH_*.json``)."""
-    if path is None:
-        stamp = payload["created_utc"].replace("-", "").replace(":", "")
-        path = Path.cwd() / f"MEM_{stamp}.json"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_resources(payload), encoding="utf-8")
-    return path
+    ``MEM_<UTCSTAMP>.json`` in the current directory."""
+    return codec.write_payload(payload, path, "MEM")
 
 
 # ---------------------------------------------------------------------------

@@ -357,13 +357,7 @@ def read_trace(path: str | Path) -> list[dict]:
     A truncated final line (crashed writer) is skipped with a
     :class:`TraceWarning`; see :func:`read_jsonl`.
     """
-
-    def check(event: dict) -> None:
-        if not isinstance(event, dict):
-            raise TraceError("trace event must be a JSON object")
-        validate_event(event)
-
-    return read_jsonl(path, validate=check, error=TraceError)
+    return read_jsonl(path, validate=validate_event, error=TraceError)
 
 
 def orphan_events(events: Iterable[dict]) -> list[dict]:

@@ -24,6 +24,8 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
+from repro.obs.slot import Slot
+
 #: Bump when the span event layout (``span_event``) changes.
 TRACE_SCHEMA = 1
 
@@ -316,35 +318,11 @@ class NullTracer:
         return _NULL_SPAN
 
 
-_NULL_TRACER = NullTracer()
-_tracer_lock = threading.Lock()
-_current_tracer: Tracer | NullTracer = _NULL_TRACER
-
-
-def get_tracer() -> Tracer | NullTracer:
-    """The process-wide tracer instrumented code reports to."""
-    return _current_tracer
-
-
-def set_tracer(tracer: Optional[Tracer | NullTracer]) -> Tracer | NullTracer:
-    """Install ``tracer`` (None restores the no-op default); returns the
-    previously installed tracer so callers can restore it."""
-    global _current_tracer
-    with _tracer_lock:
-        previous = _current_tracer
-        _current_tracer = tracer if tracer is not None else _NULL_TRACER
-    return previous
-
-
-@contextmanager
-def installed_tracer(tracer: Tracer | NullTracer) -> Iterator[Tracer | NullTracer]:
-    """Scoped :func:`set_tracer` — the previous tracer is restored on
-    exit, so tests and CLI commands cannot leak tracing state."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
+#: The process-wide tracer instrumented code reports to.
+_TRACER: Slot[Tracer | NullTracer] = Slot(NullTracer())
+get_tracer = _TRACER.get
+set_tracer = _TRACER.set
+installed_tracer = _TRACER.installed
 
 
 @contextmanager

@@ -28,8 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.lang import ast
 from repro.obs.events import get_event_log
-from repro.obs.profile import get_profiler
-from repro.obs.resources import get_resource_monitor
+from repro.obs.profile import section
 from repro.lang.symtab import BuiltinCall, MethodCall, ProgramInfo
 from repro.runtime.devices import DeviceBus, InputExhausted, OutputSink
 from repro.runtime.values import (
@@ -300,10 +299,7 @@ class Interpreter:
         set, the loop calls ``boundary_hook(frame)`` at every boundary;
         the hook may change the engine's state, or raise to end the
         run."""
-        with (
-            get_profiler().section("interpreter.step"),
-            get_resource_monitor().section("interpreter.step"),
-        ):
+        with section("interpreter.step"):
             begin_device_iteration = getattr(self.device, "begin_iteration", None)
             at_boundary = self.boundary_hook
             while self.iteration < self.options.max_iterations:

@@ -94,10 +94,6 @@ class ResultCache:
     #: Serialized size per memory-tier entry, for occupancy telemetry.
     _sizes: dict = field(default_factory=dict)
 
-    @classmethod
-    def with_default_disk(cls, max_entries: int = 512) -> "ResultCache":
-        return cls(max_entries=max_entries, disk_dir=default_disk_dir())
-
     # -- lookup ----------------------------------------------------------
 
     def get(self, source: str) -> Optional[CheckReport]:

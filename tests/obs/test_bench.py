@@ -28,6 +28,7 @@ from repro.obs.bench import (
     format_attribution,
     format_comparison,
     get_scenario,
+    judge_shift,
     read_bench,
     run_scenario,
     run_scenarios,
@@ -260,6 +261,26 @@ class TestComparator:
         payload = _payload([_result("check/toy", [1.0])])
         with pytest.raises(BenchError, match="threshold"):
             compare_benchmarks(payload, payload, -1)
+
+
+class TestJudgeShift:
+    """The one rule behind the gate's time and memory rows."""
+
+    def test_zero_baseline(self):
+        assert judge_shift(0.0, 0.0, 0.0, 10.0) == (None, "within-noise")
+        assert judge_shift(0.0, 1.0, 0.5, 10.0) == (None, "regression")
+        assert judge_shift(0.0, 1.0, 2.0, 10.0) == (None, "within-noise")
+
+    def test_shift_within_noise(self):
+        assert judge_shift(1.0, 2.0, 1.5, 10.0) == (100.0, "within-noise")
+        assert judge_shift(1.0, 0.25, 1.0, 10.0) == (-75.0, "within-noise")
+
+    def test_shift_beyond_threshold(self):
+        assert judge_shift(1.0, 1.5, 0.1, 25.0) == (50.0, "regression")
+        assert judge_shift(1.0, 0.5, 0.1, 25.0) == (-50.0, "improvement")
+        delta, status = judge_shift(1.0, 1.2, 0.1, 25.0)
+        assert delta == pytest.approx(20.0)
+        assert status == "within-noise"
 
 
 class TestBenchCli:

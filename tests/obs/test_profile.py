@@ -27,11 +27,18 @@ from repro.obs.profile import (
     installed_profiler,
     profile_payload,
     read_profile,
+    section,
     section_counts,
     set_profiler,
     validate_profile,
     write_profile,
 )
+from repro.obs.resources import (
+    ResourceMonitor,
+    get_resource_monitor,
+    installed_resource_monitor,
+)
+from repro.obs.slot import NULL_SECTION
 
 GOLDEN = Path(__file__).parent / "golden" / "profile.golden.json"
 
@@ -243,6 +250,88 @@ class TestNullProfiler:
                 pass
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"no-op section overhead too high: {elapsed:.3f}s"
+
+    def test_anchor_overhead_is_negligible(self):
+        """The same pin for the anchor the checker, the inference
+        fixpoint and the event loop open: with the profiler and the
+        resource monitor both off it is the shared no-op."""
+        assert not get_profiler().enabled
+        assert not get_resource_monitor().enabled
+        assert section("interpreter.step") is NULL_SECTION
+        start = time.perf_counter()
+        for _ in range(100_000):
+            with section("interpreter.step"):
+                pass
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"no-op anchor overhead too high: {elapsed:.3f}s"
+
+
+class TestSectionAnchor:
+    """``section(name)`` enters whichever of the profiler and the
+    resource monitor is installed."""
+
+    def _profiler(self):
+        tid = threading.get_ident()
+        frame = _probe_frame()
+        return SamplingProfiler(
+            interval_seconds=0.005,
+            clock=_counting_clock(0.5),
+            frames=lambda: {tid: frame},
+        )
+
+    def _monitor(self):
+        return ResourceMonitor(
+            clock=_counting_clock(0.5),
+            rss_supplier=lambda: None,
+            trace_allocations=False,
+            track_gc=False,
+        )
+
+    def test_profiler_only(self):
+        profiler = self._profiler()
+        with installed_profiler(profiler):
+            with section("interpreter.step"):
+                assert profiler.sample_now() == 1
+        (sample,) = profiler.samples()
+        assert sample["section"] == "interpreter.step"
+
+    def test_monitor_only(self):
+        monitor = self._monitor()
+        with installed_resource_monitor(monitor):
+            with section("checker.check"):
+                pass
+        assert monitor.sections() == [
+            {"name": "checker.check", "count": 1, "net_alloc_bytes": 0},
+        ]
+
+    def test_both_on(self):
+        profiler = self._profiler()
+        monitor = self._monitor()
+        with installed_profiler(profiler), installed_resource_monitor(
+            monitor
+        ):
+            with section("infer.fixpoint"):
+                assert profiler.sample_now() == 1
+        (sample,) = profiler.samples()
+        assert sample["section"] == "infer.fixpoint"
+        assert sample["count"] == 1
+        assert monitor.sections() == [
+            {"name": "infer.fixpoint", "count": 1, "net_alloc_bytes": 0},
+        ]
+
+    def test_both_on_exits_both_when_the_block_raises(self):
+        profiler = self._profiler()
+        monitor = self._monitor()
+        with installed_profiler(profiler), installed_resource_monitor(
+            monitor
+        ):
+            with pytest.raises(RuntimeError):
+                with section("infer.fixpoint"):
+                    raise RuntimeError("boom")
+            profiler.sample_now()
+        (sample,) = profiler.samples()
+        assert sample["section"] is None
+        assert monitor.sections()[0]["count"] == 1
 
 
 class TestSchema:

@@ -524,6 +524,43 @@ class TestTrendPanel:
         assert "No bench history" in out.read_text(encoding="utf-8")
 
 
+class TestBenchInputValidation:
+    """``repro report --bench`` loads BENCH files through read_bench:
+    a malformed payload is a clean usage error, not a traceback or an
+    empty table."""
+
+    def _report(self, tmp_path, payload: dict, capsys) -> tuple[int, str]:
+        from repro.cli import main
+
+        bench = tmp_path / "bad.json"
+        bench.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "report", "--html", str(tmp_path / "out.html"),
+            "--bench", str(bench),
+        ])
+        assert not (tmp_path / "out.html").exists()
+        return code, capsys.readouterr().err
+
+    def test_scenario_without_median_exits_2(self, tmp_path, capsys):
+        payload = _reference_bench()
+        del payload["scenarios"][0]["median_seconds"]
+        code, err = self._report(tmp_path, payload, capsys)
+        assert code == 2
+        assert err.startswith(
+            f"error: unreadable input: {tmp_path / 'bad.json'}: "
+        )
+        assert "median_seconds must be a number" in err
+
+    def test_envelope_without_body_exits_2(self, tmp_path, capsys):
+        code, err = self._report(
+            tmp_path, {"schema": 1, "kind": "bench"}, capsys
+        )
+        assert code == 2
+        assert err.startswith(
+            f"error: unreadable input: {tmp_path / 'bad.json'}: "
+        )
+
+
 MEMORY_REPORT_GOLDEN = (
     Path(__file__).parent / "golden" / "report_memory.golden.html"
 )
