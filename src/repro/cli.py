@@ -339,11 +339,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.apps import APP_NAMES
-    from repro.runtime.campaign import (
-        CampaignConfig,
-        CampaignError,
-        CampaignRunner,
-    )
 
     apps = (
         tuple(APP_NAMES) if args.apps == "all"
@@ -766,14 +761,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.exporter import ExporterError
     from repro.service.server import ReproServer
 
-    cache = None
-    if not args.no_cache:
-        disk = Path(args.cache_dir) if args.cache_dir else default_disk_dir()
-        cache = ResultCache(disk_dir=disk)
     try:
         server = ReproServer(
             args.socket,
-            cache=cache,
+            cache=_batch_cache(args),
             http_port=args.http_port,
             http_host=args.http_host,
         )

@@ -230,20 +230,6 @@ def count_annotations(program) -> AnnotationCounts:
         for ann in annotations:
             counts.record(ann.name)
 
-    def walk_stmt(stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                walk_stmt(child)
-        elif isinstance(stmt, ast.VarDecl):
-            record_all(stmt.annotations)
-        elif isinstance(stmt, ast.If):
-            walk_stmt(stmt.then_body)
-            if stmt.else_body is not None:
-                walk_stmt(stmt.else_body)
-        elif isinstance(stmt, (ast.While, ast.For)):
-            record_all(stmt.annotations)
-            walk_stmt(stmt.body)
-
     for cls in program.classes:
         record_all(cls.annotations)
         for fld in cls.fields:
@@ -252,5 +238,7 @@ def count_annotations(program) -> AnnotationCounts:
             record_all(method.annotations)
             for param in method.params:
                 record_all(param.annotations)
-            walk_stmt(method.body)
+            for stmt in ast.walk_stmts(method.body):
+                if isinstance(stmt, (ast.VarDecl, ast.While, ast.For)):
+                    record_all(stmt.annotations)
     return counts

@@ -262,7 +262,13 @@ class LocationWorld:
                 env.param_specs[param.name] = spec
         env.delegated = frozenset(delegated)
 
-        self._collect_var_specs(method.body, env, context)
+        for stmt in ast.walk_stmts(method.body):
+            if isinstance(stmt, ast.VarDecl):
+                loc_ann = ast.annotation_named(stmt.annotations, "LOC")
+                delta_ann = ast.annotation_named(stmt.annotations, "DELTA")
+                spec = self._spec_from(loc_ann, delta_ann, context)
+                if spec is not None:
+                    env.var_specs[stmt.name] = spec
         self.method_envs[(cls.name, method.name)] = env
 
     def _spec_from(
@@ -282,29 +288,6 @@ class LocationWorld:
         except anns.AnnotationSyntaxError as exc:
             self.sink.report(Check.ANNOTATION, str(exc), context=context)
         return None
-
-    def _collect_var_specs(
-        self, stmt: ast.Stmt, env: MethodLocEnv, context: str
-    ) -> None:
-        if isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                self._collect_var_specs(child, env, context)
-        elif isinstance(stmt, ast.VarDecl):
-            loc_ann = ast.annotation_named(stmt.annotations, "LOC")
-            delta_ann = ast.annotation_named(stmt.annotations, "DELTA")
-            spec = self._spec_from(loc_ann, delta_ann, context)
-            if spec is not None:
-                env.var_specs[stmt.name] = spec
-        elif isinstance(stmt, ast.If):
-            self._collect_var_specs(stmt.then_body, env, context)
-            if stmt.else_body is not None:
-                self._collect_var_specs(stmt.else_body, env, context)
-        elif isinstance(stmt, ast.While):
-            self._collect_var_specs(stmt.body, env, context)
-        elif isinstance(stmt, ast.For):
-            if stmt.init is not None:
-                self._collect_var_specs(stmt.init, env, context)
-            self._collect_var_specs(stmt.body, env, context)
 
     # -- resolution -------------------------------------------------------
 

@@ -180,33 +180,6 @@ def _format_path(path: Path) -> str:
     return ".".join(pretty).replace(".[]", "[]")
 
 
-def _declared_vars(stmt: ast.Stmt) -> set[str]:
-    """Names of variables declared (anywhere) inside ``stmt``."""
-    names: set[str] = set()
-
-    def walk(node: ast.Stmt) -> None:
-        if isinstance(node, ast.Block):
-            for child in node.stmts:
-                walk(child)
-        elif isinstance(node, ast.VarDecl):
-            names.add(node.name)
-        elif isinstance(node, ast.If):
-            walk(node.then_body)
-            if node.else_body is not None:
-                walk(node.else_body)
-        elif isinstance(node, ast.While):
-            walk(node.body)
-        elif isinstance(node, ast.For):
-            if node.init is not None:
-                walk(node.init)
-            if node.update is not None:
-                walk(node.update)
-            walk(node.body)
-
-    walk(stmt)
-    return names
-
-
 class _MethodAnalyzer:
     """Abstract interpretation of one method body."""
 
@@ -421,7 +394,11 @@ class _MethodAnalyzer:
 
     def _analyze_event_loop(self, stmt: ast.While, state: _State) -> _State:
         self.loop_facts = LoopFacts()
-        self._loop_local_vars = _declared_vars(stmt.body)
+        self._loop_local_vars = {
+            node.name
+            for node in ast.walk_stmts(stmt.body)
+            if isinstance(node, ast.VarDecl)
+        }
         # Fixed point on the alias map across iterations (reads are not
         # recorded until the final pass so records reflect stable aliases).
         self._loop_mode = True

@@ -86,7 +86,7 @@ class LifetimeAnalysis:
             if method is None or env is None:
                 continue
             collector = _AllocationCollector(self, key, env)
-            collector.walk_stmt(method.body)
+            collector.collect(method.body)
             bounds.extend(collector.bounds)
         return bounds
 
@@ -131,34 +131,19 @@ class _AllocationCollector:
         self.env = env
         self.world = analysis.world
         self.bounds: list[AllocationBound] = []
-        self._in_loop = False
 
     # The collector only needs destinations of allocations; it walks
     # statements and inspects initializers/assignment values.
 
-    def walk_stmt(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                self.walk_stmt(child)
-        elif isinstance(stmt, ast.VarDecl):
-            if isinstance(stmt.init, (ast.New, ast.NewArray)):
-                loc = self.world.var_location(self.env, stmt.name)
-                self._record(stmt.init, loc, f"local {stmt.name!r}")
-        elif isinstance(stmt, ast.Assign):
-            if isinstance(stmt.value, (ast.New, ast.NewArray)):
-                self._record_assign(stmt)
-        elif isinstance(stmt, ast.If):
-            self.walk_stmt(stmt.then_body)
-            if stmt.else_body is not None:
-                self.walk_stmt(stmt.else_body)
-        elif isinstance(stmt, (ast.While, ast.For)):
-            was_in_loop = self._in_loop
-            if isinstance(stmt, ast.While) and stmt.label in ("SSJAVA", "SJAVA"):
-                self._in_loop = True
-            if isinstance(stmt, ast.For) and stmt.init is not None:
-                self.walk_stmt(stmt.init)
-            self.walk_stmt(stmt.body)
-            self._in_loop = was_in_loop if not self._in_loop else self._in_loop
+    def collect(self, body: ast.Block) -> None:
+        for stmt in ast.walk_stmts(body):
+            if isinstance(stmt, ast.VarDecl):
+                if isinstance(stmt.init, (ast.New, ast.NewArray)):
+                    loc = self.world.var_location(self.env, stmt.name)
+                    self._record(stmt.init, loc, f"local {stmt.name!r}")
+            elif isinstance(stmt, ast.Assign):
+                if isinstance(stmt.value, (ast.New, ast.NewArray)):
+                    self._record_assign(stmt)
 
     def _record_assign(self, stmt: ast.Assign) -> None:
         target = stmt.target

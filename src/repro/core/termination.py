@@ -59,8 +59,9 @@ class TerminationAnalysis:
             method = cls.method_named(key[1]) if cls else None
             if method is None:
                 continue
-            for loop in _loops_in(method.body):
-                self._check_loop(loop, context=f"{key[0]}.{key[1]}")
+            for stmt in ast.walk_stmts(method.body):
+                if isinstance(stmt, (ast.While, ast.For)):
+                    self._check_loop(stmt, context=f"{key[0]}.{key[1]}")
 
     def _check_recursion(self) -> None:
         cycle = self.call_graph.find_recursive_cycle(self.scope)
@@ -120,9 +121,14 @@ class TerminationAnalysis:
         if isinstance(loop, ast.For) and loop.update is not None:
             body_stmts.append(loop.update)
 
-        assigned = _assigned_vars(body_stmts)
-        assigned_fields = _assigned_fields(body_stmts)
-        directions = _induction_directions(body_stmts, assigned)
+        nested = list(ast.walk_stmts(*body_stmts))
+        targets = [stmt.target for stmt in nested if isinstance(stmt, ast.Assign)]
+        assigned = {stmt.name for stmt in nested if isinstance(stmt, ast.VarDecl)}
+        assigned |= {expr.name for expr in targets if isinstance(expr, ast.VarRef)}
+        assigned_fields = {
+            expr.field_name for expr in targets if isinstance(expr, ast.FieldAccess)
+        }
+        directions = _induction_directions(body_stmts)
         if not directions:
             return LoopVerdict(
                 loop, False, "failed",
@@ -180,54 +186,18 @@ def _conjuncts(expr: ast.Expr) -> Iterator[ast.Expr]:
         yield expr
 
 
-def _loops_in(stmt: ast.Stmt) -> Iterator[Loop]:
-    if isinstance(stmt, (ast.While, ast.For)):
-        yield stmt
-        yield from _loops_in(stmt.body)
-    elif isinstance(stmt, ast.Block):
-        for child in stmt.stmts:
-            yield from _loops_in(child)
-    elif isinstance(stmt, ast.If):
-        yield from _loops_in(stmt.then_body)
-        if stmt.else_body is not None:
-            yield from _loops_in(stmt.else_body)
-
-
-def _assigned_vars(stmts: list[ast.Stmt]) -> set[str]:
-    names: set[str] = set()
-
-    def walk(stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                walk(child)
-        elif isinstance(stmt, ast.VarDecl):
-            names.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            if isinstance(stmt.target, ast.VarRef):
-                names.add(stmt.target.name)
-        elif isinstance(stmt, ast.If):
-            walk(stmt.then_body)
-            if stmt.else_body is not None:
-                walk(stmt.else_body)
-        elif isinstance(stmt, (ast.While, ast.For)):
-            if isinstance(stmt, ast.For):
-                if stmt.init is not None:
-                    walk(stmt.init)
-                if stmt.update is not None:
-                    walk(stmt.update)
-            walk(stmt.body)
-
-    for stmt in stmts:
-        walk(stmt)
-    return names
-
-
-def _induction_directions(
-    stmts: list[ast.Stmt], assigned: set[str]
-) -> dict[str, int]:
+def _induction_directions(stmts: list[ast.Stmt]) -> dict[str, int]:
     """Variables whose only assignments in the loop are constant steps of
     a consistent sign, and that are stepped on every iteration (i.e. not
     under a conditional)."""
+    # Updates under a branch or inside a nested loop are not "every
+    # iteration" of *this* loop in a usable way: only statements reached
+    # through blocks alone count as unconditional.
+    every_iteration = list(stmts)
+    for stmt in every_iteration:
+        if isinstance(stmt, ast.Block):
+            every_iteration.extend(stmt.stmts)
+    unconditional = {stmt.uid for stmt in every_iteration}
     steps: dict[str, list[int]] = {}
     conditional: set[str] = set()
 
@@ -253,37 +223,18 @@ def _induction_directions(
                 return value.right.value if value.op == "+" else -value.right.value
         return None
 
-    def walk(stmt: ast.Stmt, under_branch: bool) -> None:
-        if isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                walk(child, under_branch)
-        elif isinstance(stmt, ast.Assign) and isinstance(stmt.target, ast.VarRef):
+    for stmt in ast.walk_stmts(*stmts):
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.target, ast.VarRef):
             step = step_of(stmt)
             name = stmt.target.name
             if step is None:
                 conditional.add(name)  # irregular update disqualifies
             else:
-                if under_branch:
+                if stmt.uid not in unconditional:
                     conditional.add(name)
                 steps.setdefault(name, []).append(step)
         elif isinstance(stmt, ast.VarDecl):
             conditional.add(stmt.name)
-        elif isinstance(stmt, ast.If):
-            walk(stmt.then_body, True)
-            if stmt.else_body is not None:
-                walk(stmt.else_body, True)
-        elif isinstance(stmt, (ast.While, ast.For)):
-            # Updates inside a nested loop are not "every iteration" of
-            # *this* loop in a usable way; treat as conditional.
-            if isinstance(stmt, ast.For):
-                if stmt.init is not None:
-                    walk(stmt.init, True)
-                if stmt.update is not None:
-                    walk(stmt.update, True)
-            walk(stmt.body, True)
-
-    for stmt in stmts:
-        walk(stmt, False)
 
     directions: dict[str, int] = {}
     for name, deltas in steps.items():
@@ -340,31 +291,3 @@ def _ref_stable(
             expr.obj, assigned, assigned_fields
         )
     return False
-
-
-def _assigned_fields(stmts: list[ast.Stmt]) -> set[str]:
-    """Names of fields assigned (directly) anywhere in the loop body."""
-    names: set[str] = set()
-
-    def walk(stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                walk(child)
-        elif isinstance(stmt, ast.Assign):
-            if isinstance(stmt.target, ast.FieldAccess):
-                names.add(stmt.target.field_name)
-        elif isinstance(stmt, ast.If):
-            walk(stmt.then_body)
-            if stmt.else_body is not None:
-                walk(stmt.else_body)
-        elif isinstance(stmt, (ast.While, ast.For)):
-            if isinstance(stmt, ast.For):
-                if stmt.init is not None:
-                    walk(stmt.init)
-                if stmt.update is not None:
-                    walk(stmt.update)
-            walk(stmt.body)
-
-    for stmt in stmts:
-        walk(stmt)
-    return names

@@ -267,44 +267,14 @@ class InferenceEngine:
                     name="LOC", value=hierarchy.canonical(param.name)
                 )
             )
-        self._annotate_vars(method.body, graph, hierarchies, hierarchy, renames)
-
-    def _annotate_vars(
-        self,
-        stmt: ast.Stmt,
-        graph: MethodFlowGraph,
-        hierarchies: HierarchySet,
-        method_hierarchy: HierarchyGraph,
-        renames: dict[str, FlowNode],
-    ) -> None:
-        if isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                self._annotate_vars(
-                    child, graph, hierarchies, method_hierarchy, renames
+        for stmt in ast.walk_stmts(method.body):
+            if isinstance(stmt, ast.VarDecl):
+                self._strip(stmt.annotations)
+                loc = self._var_location(
+                    stmt.name, graph, hierarchies, hierarchy, renames
                 )
-        elif isinstance(stmt, ast.VarDecl):
-            self._strip(stmt.annotations)
-            loc = self._var_location(
-                stmt.name, graph, hierarchies, method_hierarchy, renames
-            )
-            if loc is not None:
-                stmt.annotations.append(ast.Annotation(name="LOC", value=loc))
-        elif isinstance(stmt, ast.If):
-            self._annotate_vars(
-                stmt.then_body, graph, hierarchies, method_hierarchy, renames
-            )
-            if stmt.else_body is not None:
-                self._annotate_vars(
-                    stmt.else_body, graph, hierarchies, method_hierarchy, renames
-                )
-        elif isinstance(stmt, (ast.While, ast.For)):
-            if isinstance(stmt, ast.For) and stmt.init is not None:
-                self._annotate_vars(
-                    stmt.init, graph, hierarchies, method_hierarchy, renames
-                )
-            self._annotate_vars(
-                stmt.body, graph, hierarchies, method_hierarchy, renames
-            )
+                if loc is not None:
+                    stmt.annotations.append(ast.Annotation(name="LOC", value=loc))
 
     def _var_location(
         self,

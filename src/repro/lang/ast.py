@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 _UID_COUNTER = itertools.count(1)
 
@@ -358,3 +358,54 @@ def iter_child_exprs(expr: Expr) -> list[Expr]:
     if isinstance(expr, ArrayLength):
         return [expr.array]
     return []
+
+
+def iter_child_stmts(stmt: Stmt) -> list[Stmt]:
+    """Return the direct sub-statements of ``stmt`` in source order."""
+    if isinstance(stmt, Block):
+        return list(stmt.stmts)
+    if isinstance(stmt, If):
+        children = [stmt.then_body, stmt.else_body]
+    elif isinstance(stmt, While):
+        children = [stmt.body]
+    elif isinstance(stmt, For):
+        children = [stmt.init, stmt.update, stmt.body]
+    else:
+        return []
+    return [child for child in children if child is not None]
+
+
+def iter_stmt_exprs(stmt: Stmt) -> list[Expr]:
+    """Return the expressions ``stmt`` evaluates itself, in source order;
+    those of its sub-statements belong to the sub-statements."""
+    if isinstance(stmt, Assign):
+        exprs = [stmt.target, stmt.value]
+    elif isinstance(stmt, ExprStmt):
+        exprs = [stmt.expr]
+    elif isinstance(stmt, (If, While, For)):
+        exprs = [stmt.cond]
+    elif isinstance(stmt, VarDecl):
+        exprs = [stmt.init]
+    elif isinstance(stmt, Return):
+        exprs = [stmt.value]
+    else:
+        return []
+    return [expr for expr in exprs if expr is not None]
+
+
+def _preorder(roots, children):
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def walk_stmts(*roots: Stmt) -> Iterator[Stmt]:
+    """Yield ``roots`` and every statement nested in them, in pre-order."""
+    return _preorder(roots, iter_child_stmts)
+
+
+def walk_exprs(*roots: Expr) -> Iterator[Expr]:
+    """Yield ``roots`` and every expression nested in them, in pre-order."""
+    return _preorder(roots, iter_child_exprs)

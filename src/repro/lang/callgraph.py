@@ -8,7 +8,7 @@ event loop), to order interprocedural analyses, and to detect recursion
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.lang import ast
 from repro.lang.symtab import MethodCall, ProgramInfo
@@ -20,10 +20,6 @@ MethodKey = tuple[str, str]  # (class name, method name)
 class CallGraph:
     #: edges[caller] = set of callees (dynamic dispatch expanded)
     edges: dict[MethodKey, set[MethodKey]] = field(default_factory=dict)
-    #: call sites per caller: (Call expr, static target key)
-    sites: dict[MethodKey, list[tuple[ast.Call, MethodKey]]] = field(
-        default_factory=dict
-    )
 
     def callees(self, caller: MethodKey) -> set[MethodKey]:
         return self.edges.get(caller, set())
@@ -89,45 +85,6 @@ class CallGraph:
         return order
 
 
-def _iter_calls(stmt: ast.Stmt) -> Iterator[ast.Call]:
-    def from_expr(expr: ast.Expr) -> Iterator[ast.Call]:
-        if isinstance(expr, ast.Call):
-            yield expr
-        for child in ast.iter_child_exprs(expr):
-            yield from from_expr(child)
-
-    if isinstance(stmt, ast.Block):
-        for child in stmt.stmts:
-            yield from _iter_calls(child)
-    elif isinstance(stmt, ast.VarDecl):
-        if stmt.init is not None:
-            yield from from_expr(stmt.init)
-    elif isinstance(stmt, ast.Assign):
-        yield from from_expr(stmt.target)
-        yield from from_expr(stmt.value)
-    elif isinstance(stmt, ast.If):
-        yield from from_expr(stmt.cond)
-        yield from _iter_calls(stmt.then_body)
-        if stmt.else_body is not None:
-            yield from _iter_calls(stmt.else_body)
-    elif isinstance(stmt, ast.While):
-        yield from from_expr(stmt.cond)
-        yield from _iter_calls(stmt.body)
-    elif isinstance(stmt, ast.For):
-        if stmt.init is not None:
-            yield from _iter_calls(stmt.init)
-        if stmt.cond is not None:
-            yield from from_expr(stmt.cond)
-        if stmt.update is not None:
-            yield from _iter_calls(stmt.update)
-        yield from _iter_calls(stmt.body)
-    elif isinstance(stmt, ast.Return):
-        if stmt.value is not None:
-            yield from from_expr(stmt.value)
-    elif isinstance(stmt, ast.ExprStmt):
-        yield from from_expr(stmt.expr)
-
-
 def build_call_graph(info: ProgramInfo) -> CallGraph:
     """Build the program call graph with dynamic dispatch expanded: a call
     whose static receiver type is C may reach the override in any subclass
@@ -137,13 +94,16 @@ def build_call_graph(info: ProgramInfo) -> CallGraph:
         for method in cls.methods:
             caller: MethodKey = (cls.name, method.name)
             graph.edges.setdefault(caller, set())
-            graph.sites.setdefault(caller, [])
-            for call in _iter_calls(method.body):
+            calls = [
+                expr
+                for stmt in ast.walk_stmts(method.body)
+                for expr in ast.walk_exprs(*ast.iter_stmt_exprs(stmt))
+                if isinstance(expr, ast.Call)
+            ]
+            for call in calls:
                 target = info.call_targets.get(call.uid)
                 if not isinstance(target, MethodCall):
                     continue
-                static_key: MethodKey = (target.owner, target.decl.name)
-                graph.sites[caller].append((call, static_key))
                 for owner, decl in info.overriding_decls(
                     target.receiver_class, target.decl.name
                 ):

@@ -147,22 +147,12 @@ def _check_no_inheritance_cycle(info: ProgramInfo) -> None:
 def _find_event_loops(info: ProgramInfo) -> None:
     for cls in info.program.classes:
         for method in cls.methods:
-            for loop in _iter_loops(method.body):
-                if loop.label in EVENT_LOOP_LABELS:
-                    info.event_loops.append(EventLoop(cls.name, method, loop))
-
-
-def _iter_loops(stmt: ast.Stmt) -> Iterator[Union[ast.While, ast.For]]:
-    if isinstance(stmt, (ast.While, ast.For)):
-        yield stmt
-        yield from _iter_loops(stmt.body)
-    elif isinstance(stmt, ast.Block):
-        for child in stmt.stmts:
-            yield from _iter_loops(child)
-    elif isinstance(stmt, ast.If):
-        yield from _iter_loops(stmt.then_body)
-        if stmt.else_body is not None:
-            yield from _iter_loops(stmt.else_body)
+            for stmt in ast.walk_stmts(method.body):
+                if (
+                    isinstance(stmt, (ast.While, ast.For))
+                    and stmt.label in EVENT_LOOP_LABELS
+                ):
+                    info.event_loops.append(EventLoop(cls.name, method, stmt))
 
 
 def resolve_program(program: ast.Program) -> ProgramInfo:

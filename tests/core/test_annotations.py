@@ -132,3 +132,19 @@ class TestAnnotationCounting:
         counts = anns.count_annotations(program)
         assert counts.by_name["LOC"] == 3
         assert counts.by_name["THISLOC"] == 1
+
+    def test_for_initializer_annotations_are_counted(self):
+        program = parse_program('''
+        class T {
+          @LATTICE("X<Y")
+          void m() {
+            @MAXLOOP(4)
+            for (@LOC("X") int i = 0; i < 4; i++) {
+              @LOC("Y") int v = i;
+            }
+          }
+        }
+        ''')
+        counts = anns.count_annotations(program)
+        assert counts.by_name["LOC"] == 2
+        assert counts.by_name["MAXLOOP"] == 1
