@@ -13,38 +13,33 @@ them passes the static self-stabilization checker.
 Fault injection reuses :class:`~repro.runtime.injection.ErrorInjector`
 unchanged: a *composite site* is ``(node, local step)`` where local
 steps are the injectable sites of that node's activations concatenated
-in schedule order.  :class:`DistExperiment` mirrors the
-:class:`~repro.runtime.stabilization.StabilizationExperiment` interface
-(``total_steps`` / ``trial_at`` / ``trial``), which is what lets
+in schedule order.  :class:`DistExperiment` shares one trial lifecycle
+with single-node experiments
+(:class:`~repro.runtime.stabilization.TrialLifecycle`: ``total_steps``
+/ ``trial_at`` / ``trial``), which is what lets
 ``repro.runtime.campaign`` sweep distributed apps with no new worker
 protocol.
 
-Verdicts are decided against a per-app *legitimacy predicate* (a closed
-set of states) rather than exact reference-trajectory matching, because
-randomized protocols (Herman) recover to the legitimate set, not to the
-reference trajectory; deterministic apps (gradient) use trajectory
-equality as their predicate, which coincides with the classic notion.
+A round counts against a trial when its node states differ from the
+reference's *and* fail the app's *legitimacy predicate* (a closed set
+of states), because randomized protocols (Herman) recover to the
+legitimate set, not to the reference trajectory; deterministic apps
+(gradient) use trajectory equality as their predicate, which coincides
+with the classic notion.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.lang.symtab import ProgramInfo
-from repro.obs import get_tracer
-from repro.obs.events import get_event_log
 from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import IterationKeyedDevice
 from repro.runtime.injection import ErrorInjector, StepCounter
-from repro.runtime.interpreter import (
-    RuntimeOptions,
-    StepBudgetExceeded,
-    state_digest,
-)
-from repro.runtime.stabilization import InjectionTrial
+from repro.runtime.interpreter import RuntimeOptions, state_digest
+from repro.runtime.stabilization import InjectedRun, TrialLifecycle
 
 from repro.dist.scheduler import Scheduler
 from repro.dist.topology import Topology
@@ -146,13 +141,13 @@ class DistAppSpec:
 
 
 @dataclass
-class DistExperiment:
+class DistExperiment(TrialLifecycle):
     """Reference + injected fabric simulations of one distributed app.
 
-    Interface-compatible with
-    :class:`~repro.runtime.stabilization.StabilizationExperiment` where
-    campaigns touch it: ``total_steps()``, ``trial_at(site, seed,
-    burst)``, ``trial(seed, burst)``, ``run_trials(...)``.
+    Trials follow :class:`~repro.runtime.stabilization.TrialLifecycle`:
+    an injected run simulates the whole horizon with the injector on
+    one node, and its trajectory is compared with the reference's as
+    one group of N node states per round.
     """
 
     spec: DistAppSpec
@@ -165,8 +160,12 @@ class DistExperiment:
     step_budget: Optional[int] = None
     step_budget_factor: Optional[int] = None
     seed: int = 0
-    _reference: Optional[SimResult] = field(default=None, repr=False)
-    _site_counts: Optional[list[int]] = None
+    #: The clean run's caches; not init fields, as on
+    #: :class:`~repro.runtime.stabilization.StabilizationExperiment`.
+    _reference: Optional[SimResult] = field(
+        default=None, init=False, repr=False
+    )
+    _site_counts: Optional[list[int]] = field(default=None, init=False)
 
     # -- fabric simulation ------------------------------------------------
 
@@ -320,219 +319,57 @@ class DistExperiment:
 
     # -- trials -----------------------------------------------------------
 
-    def _trial_budget(self) -> Optional[int]:
-        if self.step_budget is not None:
-            return self.step_budget
-        if self.step_budget_factor is not None:
-            return max(1000, self.step_budget_factor * self.reference_steps())
-        return None
+    def reference_groups(self) -> list[tuple[tuple, ...]]:
+        """The reference trajectory: one group of node states per round."""
+        return self.reference().trajectory
 
-    def trial(self, seed: int, burst: int = 1) -> InjectionTrial:
-        rng = random.Random(seed)
-        target = rng.randrange(max(1, self.total_steps()))
-        return self.trial_at(target, seed=seed, burst=burst)
+    def _locate(self, site: int) -> tuple[int, int]:
+        return self.site_location(site)
 
-    def run_trials(
-        self, count: int, seed: int = 0, burst: int = 1
-    ) -> list[InjectionTrial]:
-        return [self.trial(seed + i, burst=burst) for i in range(count)]
+    def _labels(self, node: Optional[int]) -> dict:
+        return {"app": self.spec.name, "node": node}
 
-    def trial_at(
-        self, target_step: int, seed: int, burst: int = 1
-    ) -> InjectionTrial:
-        node, local = self.site_location(target_step)
-        with get_tracer().span(
-            "dist_trial",
-            app=self.spec.name,
-            site=target_step,
-            node=node,
-            seed=seed,
-            burst=burst,
-        ) as span:
-            trial = self._trial_at(node, local, target_step, seed, burst)
-            span.set_attr("timed_out", trial.timed_out)
-            span.set_attr("diverged", trial.diverged)
-        return trial
-
-    def _trial_at(
-        self, node: int, local: int, target_step: int, seed: int, burst: int
-    ) -> InjectionTrial:
-        events = get_event_log()
-        if local >= self.node_site_counts()[node]:
-            # The composite site space covers the injection horizon
-            # (``self.rounds``) only; an over-large target must never
-            # fire — not even inside the recovery window the trial
-            # simulation appends after the horizon.
-            events.emit(
-                "trial.not_injected", level="debug",
-                app=self.spec.name, site=target_step, node=node, seed=seed,
-            )
-            return InjectionTrial(
-                target_step=target_step,
-                injection_iteration=None,
-                corrupted_output=False,
-                recovery_samples=None,
-                recovery_iterations=None,
-                error_log_size=self.reference().errors,
-                node=node,
-            )
-        inner = ErrorInjector(target_step=local, seed=seed + 1, burst=burst)
-        injector = _RoundInjector(inner)
-        try:
+    def _injected_run(
+        self,
+        node: int,
+        injector: ErrorInjector,
+        budget: Optional[int],
+        span,
+    ) -> InjectedRun:
+        """The fabric over the whole horizon with ``injector`` on
+        ``node``.  A round's group is judged correct when its states
+        equal the reference's or are legitimate."""
+        if injector.target_step < self.node_site_counts()[node]:
             sim = self.simulate(
                 self.horizon(),
-                injectors={node: injector},
-                step_budget=self._trial_budget(),
+                injectors={node: _RoundInjector(injector)},
+                step_budget=budget,
             )
-        except StepBudgetExceeded:
-            events.emit(
-                "trial.timeout",
-                "step-budget watchdog stopped a runaway injected fabric",
-                level="warn",
-                app=self.spec.name,
-                site=target_step,
-                node=node,
-                seed=seed,
-            )
-            return InjectionTrial(
-                target_step=target_step,
-                injection_iteration=inner.injection_iteration,
-                corrupted_output=True,
-                recovery_samples=None,
-                recovery_iterations=None,
-                timed_out=True,
-                node=node,
-            )
-        injection_round = inner.injection_iteration
-        if injection_round is None:
-            events.emit(
-                "trial.not_injected", level="debug",
-                app=self.spec.name, site=target_step, node=node, seed=seed,
-            )
-            return InjectionTrial(
-                target_step=target_step,
-                injection_iteration=None,
-                corrupted_output=False,
-                recovery_samples=None,
-                recovery_iterations=None,
-                error_log_size=sim.errors,
-                node=node,
-            )
-        events.emit(
-            "trial.corrupted",
-            "fault injected into fabric node",
-            level="info",
-            app=self.spec.name,
-            site=target_step,
-            node=node,
-            seed=seed,
-            iteration=injection_round,
-        )
-        return self._classify(sim, node, target_step, injection_round, events)
-
-    def _classify(
-        self, sim: SimResult, node: int, target_step: int,
-        injection_round: int, events,
-    ) -> InjectionTrial:
-        reference = self.reference()
-        horizon = len(sim.trajectory)
-        n = self.nodes
+        else:
+            # The composite site space covers the injection horizon
+            # (``self.rounds``) only; an over-large target must never
+            # fire, not even inside the recovery window, so its run is
+            # the reference.
+            sim = self.reference()
+        reference = self.reference_groups()
         params = self.spec.params(self.topology)
-        node_divergence = [
-            [
-                int(sim.trajectory[r][i] != reference.trajectory[r][i])
-                for i in range(n)
-            ]
-            for r in range(horizon)
+        judged = [
+            clean
+            if states == clean or self.spec.legitimate(
+                list(states), list(clean), self.topology, params
+            )
+            else states
+            for states, clean in zip(sim.trajectory, reference)
         ]
-        divergence = [sum(row) for row in node_divergence]
-        legit = [
-            self.spec.legitimate(
-                list(sim.trajectory[r]),
-                list(reference.trajectory[r]),
-                self.topology,
-                params,
-            )
-            for r in range(horizon)
-        ]
-        illegitimate = [
-            r for r in range(injection_round, horizon) if not legit[r]
-        ]
-        node_digests = [sim.node_digest(i) for i in range(n)]
-        corrupted = any(divergence[injection_round:])
-        if not illegitimate:
-            # Never left the legitimate set: the fault was masked (even
-            # if the trajectory drifted to a different legitimate path).
-            events.emit(
-                "trial.masked", level="debug",
-                app=self.spec.name, site=target_step, node=node,
-                iteration=injection_round,
-            )
-            return InjectionTrial(
-                target_step=target_step,
-                injection_iteration=injection_round,
-                corrupted_output=corrupted,
-                recovery_samples=None,
-                recovery_iterations=None,
-                error_log_size=sim.errors,
-                divergence=divergence,
-                node=node,
-                node_divergence=node_divergence,
-                node_digests=node_digests,
-            )
-        if illegitimate[-1] == horizon - 1:
-            events.emit(
-                "trial.diverged",
-                "fabric never returned to the legitimate set",
-                level="error",
-                app=self.spec.name,
-                site=target_step,
-                node=node,
-                iteration=injection_round,
-            )
-            return InjectionTrial(
-                target_step=target_step,
-                injection_iteration=injection_round,
-                corrupted_output=True,
-                recovery_samples=None,
-                recovery_iterations=None,
-                diverged=True,
-                error_log_size=sim.errors,
-                divergence=divergence,
-                node=node,
-                node_divergence=node_divergence,
-                node_digests=node_digests,
-            )
-        recovery_round = illegitimate[-1] + 1
-        recovery_iterations = recovery_round - injection_round
-        recovery_samples = recovery_iterations * n
-        convergence: list[int] = []
-        total = 0
-        for r in range(injection_round, horizon):
-            if r < recovery_round:
-                total += n
-            convergence.append(total)
-        events.emit(
-            "trial.recovered",
-            "fabric re-entered the legitimate set",
-            level="info",
-            app=self.spec.name,
-            site=target_step,
-            node=node,
-            iteration=injection_round,
-            recovery_samples=recovery_samples,
-            recovery_iterations=recovery_iterations,
-        )
-        return InjectionTrial(
-            target_step=target_step,
-            injection_iteration=injection_round,
-            corrupted_output=True,
-            recovery_samples=recovery_samples,
-            recovery_iterations=recovery_iterations,
-            error_log_size=sim.errors,
-            divergence=divergence,
-            convergence=convergence,
-            node=node,
-            node_divergence=node_divergence,
-            node_digests=node_digests,
+        return InjectedRun(
+            sim.trajectory, judged, sim.steps, sim.errors,
+            telemetry={
+                "node_divergence": [
+                    [int(a != b) for a, b in zip(states, clean)]
+                    for states, clean in zip(sim.trajectory, reference)
+                ],
+                "node_digests": [
+                    sim.node_digest(i) for i in range(self.nodes)
+                ],
+            },
         )

@@ -174,11 +174,16 @@ def _interpreter_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
     return Scenario(f"interpreter-step/{app}", KIND_INTERPRETER, suites, build)
 
 
-def _campaign_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
+def _campaign_scenario(
+    app: str, kind: str, suites: tuple[str, ...]
+) -> Scenario:
     def build() -> Callable[[], dict]:
-        from repro.apps.registry import app_experiment
+        from repro.apps.registry import resolve_experiment
 
-        experiment = app_experiment(app, step_budget_factor=64)
+        experiment = resolve_experiment(app, step_budget_factor=64)
+        # the clean runs (site count, reference) stay outside the timer
+        experiment.total_steps()
+        experiment.reference_steps()
 
         def op() -> dict:
             trials = experiment.run_trials(SHARD_TRIALS, seed=0)
@@ -189,7 +194,7 @@ def _campaign_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
 
         return op
 
-    return Scenario(f"campaign-shard/{app}", KIND_CAMPAIGN, suites, build)
+    return Scenario(f"{kind}/{app}", kind, suites, build)
 
 
 def _dist_ring_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
@@ -209,27 +214,6 @@ def _dist_ring_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
         return op
 
     return Scenario(f"dist-ring-step/{app}", KIND_DIST_RING, suites, build)
-
-
-def _dist_campaign_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
-    def build() -> Callable[[], dict]:
-        from repro.dist import dist_app_experiment
-
-        experiment = dist_app_experiment(app, step_budget_factor=64)
-        experiment.reference()  # cache the clean run outside the timer
-
-        def op() -> dict:
-            trials = experiment.run_trials(SHARD_TRIALS, seed=0)
-            return {
-                "trials": len(trials),
-                "diverged": sum(1 for t in trials if t.diverged),
-            }
-
-        return op
-
-    return Scenario(
-        f"dist-campaign-shard/{app}", KIND_DIST_CAMPAIGN, suites, build
-    )
 
 
 def _service_batch_scenario(suites: tuple[str, ...]) -> Scenario:
@@ -270,13 +254,13 @@ def _ensure_builtin() -> None:
         register_scenario(_check_scenario(app, suites))
         register_scenario(_infer_scenario(app, suites))
         register_scenario(_interpreter_scenario(app, suites))
-        register_scenario(_campaign_scenario(app, suites))
+        register_scenario(_campaign_scenario(app, KIND_CAMPAIGN, suites))
     register_scenario(_service_batch_scenario(("small", "full")))
     small_dist = "herman_bit"
     for app in DIST_APP_NAMES:
         suites = ("small", "full") if app == small_dist else ("full",)
         register_scenario(_dist_ring_scenario(app, suites))
-        register_scenario(_dist_campaign_scenario(app, suites))
+        register_scenario(_campaign_scenario(app, KIND_DIST_CAMPAIGN, suites))
 
 
 def scenario_names(suite: str = "full") -> list[str]:

@@ -383,7 +383,189 @@ class Resume:
 
 
 @dataclass
-class StabilizationExperiment:
+class InjectedRun:
+    """An injected run that finished, as :class:`TrialLifecycle` judges
+    it against the experiment's ``reference_groups()``."""
+
+    #: Per-iteration groups, each compared with the reference's: the
+    #: iteration's output samples, or a fabric round's node states.
+    groups: list
+    #: The groups the verdict is decided on: ``groups``, with the
+    #: groups the experiment accepts as correct replaced by the
+    #: reference's (a fabric's legitimate rounds).
+    judged: list
+    steps: int
+    errors: int
+    #: More :class:`InjectionTrial` fields for a corrupted run.
+    telemetry: dict = field(default_factory=dict)
+
+
+class TrialLifecycle:
+    """One fault-injection trial (Section 6.2), the same for single-node
+    and fabric experiments: corrupt one site with an
+    :class:`ErrorInjector`, run under the step budget, and judge the run
+    against the clean reference.  The trial times out, is not injected
+    (the injector changed no value), or is masked, recovered after k
+    iterations or diverged (:func:`recovery_distance`).  Each trial
+    opens one ``trial`` span and emits the ``trial.*`` events.
+
+    An experiment supplies ``step_budget`` and ``step_budget_factor``,
+    the clean run (``reference_groups()``, ``reference_steps()`` and
+    ``total_steps()``), where a site lies (:meth:`_locate` and
+    :meth:`_labels`) and the injected run (``_injected_run(node,
+    injector, budget, span)``, which returns an :class:`InjectedRun` or
+    raises :class:`StepBudgetExceeded`).
+    """
+
+    def _locate(self, site: int) -> tuple[Optional[int], int]:
+        """The node ``site`` lies in (None for a single node) and the
+        step the injector targets there."""
+        return None, site
+
+    def _labels(self, node: Optional[int]) -> dict:
+        """Attributes naming the trial's app and node in its span and
+        events."""
+        return {}
+
+    def _trial_budget(self) -> Optional[int]:
+        if self.step_budget is not None:
+            return self.step_budget
+        if self.step_budget_factor is not None:
+            return max(1000, self.step_budget_factor * self.reference_steps())
+        return None
+
+    def trial(self, seed: int, burst: int = 1) -> InjectionTrial:
+        """One injected run with a uniformly chosen target site."""
+        rng = random.Random(seed)
+        target = rng.randrange(max(1, self.total_steps()))
+        return self.trial_at(target, seed=seed, burst=burst)
+
+    def run_trials(
+        self, count: int, seed: int = 0, burst: int = 1
+    ) -> list[InjectionTrial]:
+        return [self.trial(seed + i, burst=burst) for i in range(count)]
+
+    def trial_at(
+        self, target_step: int, seed: int, burst: int = 1
+    ) -> InjectionTrial:
+        """One injected run corrupting the given site.  This is the unit
+        campaigns sweep: exhaustive/stratified plans enumerate sites
+        explicitly instead of sampling them."""
+        node, step = self._locate(target_step)
+        labels = self._labels(node)
+        with get_tracer().span(
+            "trial", **labels, site=target_step, seed=seed, burst=burst
+        ) as span:
+            injector = ErrorInjector(
+                target_step=step, seed=seed + 1, burst=burst
+            )
+            emit = partial(get_event_log().emit, **labels, site=target_step)
+            trial = self._trial_at(
+                target_step, seed, node, injector, emit, span
+            )
+            span.set_attr("timed_out", trial.timed_out)
+            span.set_attr("diverged", trial.diverged)
+        return trial
+
+    def _trial_at(
+        self,
+        target_step: int,
+        seed: int,
+        node: Optional[int],
+        injector: ErrorInjector,
+        emit: Callable[..., object],
+        span,
+    ) -> InjectionTrial:
+        budget = self._trial_budget()
+        reference = self.reference_groups()
+        try:
+            run = self._injected_run(node, injector, budget, span)
+        except StepBudgetExceeded:
+            # The corrupted run never finished: a runaway loop or
+            # explosion of work.  Recorded as a timeout, never a hang.
+            span.count("steps", budget or 0)
+            emit(
+                "trial.timeout",
+                "step-budget watchdog stopped a runaway injected run",
+                level="warn",
+                seed=seed,
+                injection_iteration=injector.injection_iteration,
+                step_budget=budget,
+            )
+            return InjectionTrial(
+                target_step=target_step,
+                injection_iteration=injector.injection_iteration,
+                corrupted_output=True,
+                recovery_samples=None,
+                recovery_iterations=None,
+                timed_out=True,
+                node=node,
+            )
+        span.count("steps", run.steps)
+        span.count("ignored_errors", run.errors)
+        injection_iteration = injector.injection_iteration
+        if injection_iteration is None:
+            # The injector replaced a value with an equal one or never hit
+            # a corruptible site: no fault was actually introduced.
+            emit("trial.not_injected", level="debug", seed=seed)
+            return InjectionTrial(
+                target_step=target_step,
+                injection_iteration=None,
+                corrupted_output=False,
+                recovery_samples=None,
+                recovery_iterations=None,
+                error_log_size=run.errors,
+                node=node,
+            )
+        emit(
+            "trial.corrupted",
+            "fault injected",
+            level="info",
+            seed=seed,
+            iteration=injection_iteration,
+        )
+        samples, iterations, diverged = recovery_distance(
+            reference, run.judged, injection_iteration
+        )
+        convergence = (
+            convergence_series(reference, injection_iteration, iterations)
+            if iterations is not None else None
+        )
+        if diverged:
+            emit(
+                "trial.diverged",
+                "outputs never returned to the reference behavior",
+                level="error",
+                iteration=injection_iteration,
+            )
+        elif samples is not None:
+            emit(
+                "trial.recovered",
+                "outputs re-converged to the reference",
+                level="info",
+                iteration=injection_iteration,
+                recovery_samples=samples,
+                recovery_iterations=iterations,
+            )
+        else:
+            emit("trial.masked", level="debug", iteration=injection_iteration)
+        return InjectionTrial(
+            target_step=target_step,
+            injection_iteration=injection_iteration,
+            corrupted_output=run.groups != reference,
+            recovery_samples=samples,
+            recovery_iterations=iterations,
+            diverged=diverged,
+            error_log_size=run.errors,
+            divergence=divergence_series(reference, run.groups),
+            convergence=convergence,
+            node=node,
+            **run.telemetry,
+        )
+
+
+@dataclass
+class StabilizationExperiment(TrialLifecycle):
     """Orchestrates reference + injected runs of one program.
 
     On the production engine an injected trial does not replay the
@@ -433,11 +615,14 @@ class StabilizationExperiment:
     #: neither, injected runs are unbudgeted (the historical behavior).
     step_budget: Optional[int] = None
     step_budget_factor: Optional[int] = None
-    _reference_groups: Optional[list[list[object]]] = None
-    _reference_steps: Optional[int] = None
-    _total_steps: Optional[int] = None
-    #: Not an init field, so ``dataclasses.replace`` (say, onto the
-    #: oracle engine) starts without one.
+    #: The clean run's caches.  Not init fields, so
+    #: ``dataclasses.replace`` (say, onto the oracle engine) starts
+    #: without them and runs its own reference.
+    _reference_groups: Optional[list[list[object]]] = field(
+        default=None, init=False, repr=False
+    )
+    _reference_steps: Optional[int] = field(default=None, init=False)
+    _total_steps: Optional[int] = field(default=None, init=False)
     _trace: Optional[ReferenceTrace] = field(
         default=None, init=False, repr=False
     )
@@ -502,153 +687,36 @@ class StabilizationExperiment:
             self._total_steps = counter.step
         return self._total_steps
 
-    def _trial_budget(self) -> Optional[int]:
-        if self.step_budget is not None:
-            return self.step_budget
-        if self.step_budget_factor is not None:
-            return max(1000, self.step_budget_factor * self.reference_steps())
-        return None
-
-    def trial(self, seed: int, burst: int = 1) -> InjectionTrial:
-        """One injected run with a uniformly chosen target site."""
-        rng = random.Random(seed)
-        target = rng.randrange(max(1, self.total_steps()))
-        return self.trial_at(target, seed=seed, burst=burst)
-
-    def trial_at(
-        self, target_step: int, seed: int, burst: int = 1
-    ) -> InjectionTrial:
-        """One injected run corrupting the given site.  This is the unit
-        campaigns sweep: exhaustive/stratified plans enumerate sites
-        explicitly instead of sampling them."""
-        with get_tracer().span(
-            "trial", site=target_step, seed=seed, burst=burst
-        ) as span:
-            trial = self._trial_at(target_step, seed, burst, span)
-            span.set_attr("timed_out", trial.timed_out)
-            span.set_attr("diverged", trial.diverged)
-        return trial
-
-    def _trial_at(
-        self, target_step: int, seed: int, burst: int, span
-    ) -> InjectionTrial:
-        injector = ErrorInjector(
-            target_step=target_step, seed=seed + 1, burst=burst
-        )
-        budget = self._trial_budget()
+    def _injected_run(
+        self,
+        node: Optional[int],
+        injector: ErrorInjector,
+        budget: Optional[int],
+        span,
+    ) -> InjectedRun:
+        """The engine's run, resumed from the reference trace when the
+        lifecycle's ``reference_groups()`` call recorded one."""
         options = (
             replace(self.options, step_budget=budget)
             if budget is not None else self.options
         )
-        reference = self.reference_groups()
         trace = self._trace
-        resume = trace.resume(target_step, injector) if trace else None
+        resume = (
+            trace.resume(injector.target_step, injector) if trace else None
+        )
         span.set_attr("resumed_at", resume.index if resume else None)
-        events = get_event_log()
         interpreter = self._engine(injector, options)
         try:
             if resume is None:
                 interpreter.run()
             else:
                 resume.run(interpreter)
-        except StepBudgetExceeded:
-            interpreter = None
-        span.set_attr("stopped_at", resume.stopped_at if resume else None)
-        if interpreter is None:
-            # The corrupted run never finished: a runaway loop or
-            # explosion of work.  Recorded as a timeout, never a hang.
-            span.count("steps", budget or 0)
-            events.emit(
-                "trial.timeout",
-                "step-budget watchdog stopped a runaway injected run",
-                level="warn",
-                site=target_step,
-                seed=seed,
-                injection_iteration=injector.injection_iteration,
-                step_budget=budget,
-            )
-            return InjectionTrial(
-                target_step=target_step,
-                injection_iteration=injector.injection_iteration,
-                corrupted_output=True,
-                recovery_samples=None,
-                recovery_iterations=None,
-                timed_out=True,
-            )
-        span.count("steps", interpreter.steps)
-        span.count("ignored_errors", len(interpreter.error_log))
-        faulty_groups = interpreter.outputs_by_iteration()
-        injection_iteration = injector.injection_iteration
-        if injection_iteration is None:
-            # The injector replaced a value with an equal one or never hit
-            # a corruptible site: no fault was actually introduced.
-            events.emit(
-                "trial.not_injected", level="debug",
-                site=target_step, seed=seed,
-            )
-            return InjectionTrial(
-                target_step=target_step,
-                injection_iteration=None,
-                corrupted_output=False,
-                recovery_samples=None,
-                recovery_iterations=None,
-                error_log_size=len(interpreter.error_log),
-            )
-        events.emit(
-            "trial.corrupted",
-            "fault injected",
-            level="info",
-            site=target_step,
-            seed=seed,
-            iteration=injection_iteration,
+        finally:
+            span.set_attr("stopped_at", resume.stopped_at if resume else None)
+        groups = interpreter.outputs_by_iteration()
+        return InjectedRun(
+            groups, groups, interpreter.steps, len(interpreter.error_log)
         )
-        samples, iterations, diverged = recovery_distance(
-            reference, faulty_groups, injection_iteration
-        )
-        divergence = divergence_series(reference, faulty_groups)
-        convergence = (
-            convergence_series(reference, injection_iteration, iterations)
-            if iterations is not None else None
-        )
-        if diverged:
-            events.emit(
-                "trial.diverged",
-                "outputs never returned to the reference behavior",
-                level="error",
-                site=target_step,
-                iteration=injection_iteration,
-            )
-        elif samples is not None:
-            events.emit(
-                "trial.recovered",
-                "outputs re-converged to the reference",
-                level="info",
-                site=target_step,
-                iteration=injection_iteration,
-                recovery_samples=samples,
-                recovery_iterations=iterations,
-            )
-        else:
-            events.emit(
-                "trial.masked", level="debug",
-                site=target_step, iteration=injection_iteration,
-            )
-        return InjectionTrial(
-            target_step=target_step,
-            injection_iteration=injection_iteration,
-            corrupted_output=samples is not None or diverged,
-            recovery_samples=samples,
-            recovery_iterations=iterations,
-            diverged=diverged,
-            error_log_size=len(interpreter.error_log),
-            divergence=divergence,
-            convergence=convergence,
-        )
-
-    def run_trials(
-        self, count: int, seed: int = 0, burst: int = 1
-    ) -> list[InjectionTrial]:
-        return [self.trial(seed + i, burst=burst) for i in range(count)]
 
 
 def recovery_histogram(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dist import (
@@ -11,6 +13,7 @@ from repro.dist import (
     make_scheduler,
 )
 from repro.dist.scheduler import SchedulerError
+from repro.runtime import Interpreter
 
 
 class TestSchedulers:
@@ -122,3 +125,12 @@ class TestCompositeSites:
         assert len(trial.node_divergence[0]) == experiment.nodes
         assert trial.node_digests is not None
         assert len(trial.node_digests) == experiment.nodes
+
+    def test_an_oracle_made_after_a_trial_runs_its_own_reference(self):
+        experiment = dist_app_experiment("herman_bit", step_budget_factor=64)
+        experiment.trial_at(5, seed=0)
+        oracle = replace(experiment, engine=Interpreter)
+        assert oracle.reference() is not experiment.reference()
+        assert oracle.reference() == experiment.reference()
+        assert oracle.node_site_counts() is not experiment.node_site_counts()
+        assert oracle.node_site_counts() == experiment.node_site_counts()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.apps import DIST_APP_NAMES
 from repro.dist import dist_app_experiment
-from repro.runtime.campaign import CampaignConfig, CampaignRunner
+from repro.runtime.campaign import CampaignConfig, CampaignRunner, verdict_of
 
 
 def _legit(experiment, states, reference_states) -> bool:
@@ -46,6 +46,32 @@ class TestHermanExhaustive:
             assert all(legit[first:]), (
                 f"{app}: legitimacy not absorbing from {bits}"
             )
+
+
+class TestInvisibleHermanFaults:
+    """Burst-1 sites whose fault never changes a node state, whatever
+    the seed.  The reference ring starts from all-zero bits, five
+    tokens, so its first round is illegitimate; a round counts against
+    a trial only when its states also differ from the reference's."""
+
+    SITES = {
+        "herman_bit": (0, 3, 110, 219, 222, 329, 332, 439, 442),
+        "herman_pass": (1, 4, 114, 116, 231, 234, 343, 346, 456, 459),
+    }
+
+    @pytest.mark.parametrize("app", sorted(SITES))
+    def test_a_fault_that_changes_no_state_is_masked(self, app):
+        experiment = dist_app_experiment(app)
+        for site in self.SITES[app]:
+            for seed in (0, 7):
+                trial = experiment.trial_at(site, seed=seed)
+                assert trial.injection_iteration is not None
+                assert not any(trial.divergence)
+                assert verdict_of(trial) == "masked", (app, site, seed)
+                assert trial.corrupted_output is False
+                assert trial.recovery_samples is None
+                assert trial.recovery_iterations is None
+                assert trial.convergence is None
 
 
 class TestDijkstraRing:

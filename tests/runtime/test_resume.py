@@ -214,6 +214,17 @@ class TestFullRunFallbacks:
         assert experiment.reference_trace() is None
 
 
+class TestOracleIndependence:
+    def test_an_oracle_made_after_a_trial_runs_its_own_reference(self):
+        experiment = resolve_experiment("wind_sensor", step_budget_factor=64)
+        experiment.trial_at(experiment.total_steps() // 2, seed=1)
+        oracle = replace(experiment, engine=Interpreter)
+        assert oracle.reference_groups() is not experiment.reference_groups()
+        assert oracle.reference_groups() == experiment.reference_groups()
+        assert oracle.reference_steps() == experiment.reference_steps()
+        assert oracle.total_steps() == experiment.total_steps()
+
+
 class TestTraceIsReadOnly:
     def test_same_trial_twice(self):
         experiment = resolve_experiment("heart_monitor", step_budget_factor=64)
