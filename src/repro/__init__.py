@@ -26,31 +26,21 @@ Quick start::
     assert report.self_stabilizing
 """
 
-from repro.core.checker import CheckReport, SJavaChecker, check_parsed, check_program
-from repro.infer import InferenceEngine, InferenceResult, infer_annotations
-from repro.lang import parse_program, resolve_program, typecheck_program
-from repro.runtime import (
-    ErrorInjector,
-    Interpreter,
-    RuntimeOptions,
-    StabilizationExperiment,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CheckReport",
-    "ErrorInjector",
-    "InferenceEngine",
-    "InferenceResult",
-    "Interpreter",
-    "RuntimeOptions",
-    "SJavaChecker",
-    "StabilizationExperiment",
-    "check_parsed",
-    "check_program",
-    "infer_annotations",
-    "parse_program",
-    "resolve_program",
-    "typecheck_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "core.checker": (
+        "CheckReport", "SJavaChecker", "check_parsed", "check_program",
+    ),
+    "infer.engine": (
+        "InferenceEngine", "InferenceResult", "infer_annotations",
+    ),
+    "lang.parser": ("parse_program",),
+    "lang.symtab": ("resolve_program",),
+    "lang.typecheck": ("typecheck_program",),
+    "runtime.injection": ("ErrorInjector",),
+    "runtime.interpreter": ("Interpreter", "RuntimeOptions"),
+    "runtime.stabilization": ("StabilizationExperiment",),
+})

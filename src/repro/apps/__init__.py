@@ -15,32 +15,13 @@ Each app ships a deterministic iteration-keyed device generator for the
 stabilization experiments.
 """
 
-from repro.apps.registry import (
-    APP_NAMES,
-    DIST_APP_NAMES,
-    AppBundle,
-    all_app_names,
-    app_catalog,
-    app_device_factory,
-    app_experiment,
-    app_source,
-    load_app,
-    programs_dir,
-    resolve_experiment,
-    strip_location_annotations,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "APP_NAMES",
-    "DIST_APP_NAMES",
-    "AppBundle",
-    "all_app_names",
-    "app_catalog",
-    "app_device_factory",
-    "app_experiment",
-    "app_source",
-    "load_app",
-    "programs_dir",
-    "resolve_experiment",
-    "strip_location_annotations",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "registry": (
+        "APP_NAMES", "DIST_APP_NAMES", "AppBundle", "all_app_names",
+        "app_catalog", "app_device_factory", "app_experiment", "app_source",
+        "load_app", "programs_dir", "resolve_experiment",
+        "strip_location_annotations",
+    ),
+})

@@ -11,40 +11,16 @@ statistics must be identical to fault-free ones.  See
 ``docs/ROBUSTNESS.md``.
 """
 
-from repro.chaos.injector import (
-    FAULTS,
-    WORKER_FAULTS,
-    ChaosConfig,
-    ChaosError,
-    ChaosInjector,
-    NullChaosInjector,
-    chaos_recovery,
-    get_chaos,
-    installed_chaos,
-    parse_faults,
-    set_chaos,
-)
-from repro.chaos.oracle import (
-    CHAOS_SCHEMA,
-    replay_worker_faults,
-    run_batch_oracle,
-    run_campaign_oracle,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHAOS_SCHEMA",
-    "FAULTS",
-    "WORKER_FAULTS",
-    "ChaosConfig",
-    "ChaosError",
-    "ChaosInjector",
-    "NullChaosInjector",
-    "chaos_recovery",
-    "get_chaos",
-    "installed_chaos",
-    "parse_faults",
-    "replay_worker_faults",
-    "run_batch_oracle",
-    "run_campaign_oracle",
-    "set_chaos",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "injector": (
+        "FAULTS", "WORKER_FAULTS", "ChaosConfig", "ChaosError",
+        "ChaosInjector", "NullChaosInjector", "chaos_recovery", "get_chaos",
+        "installed_chaos", "parse_faults", "set_chaos",
+    ),
+    "oracle": (
+        "CHAOS_SCHEMA", "replay_worker_faults", "run_batch_oracle",
+        "run_campaign_oracle",
+    ),
+})

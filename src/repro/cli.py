@@ -62,11 +62,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.checker import SJavaChecker
-from repro.core.environment import LocationWorld
-from repro.core.errors import DiagnosticSink
-from repro.infer import infer_annotations, lattice_metrics
-from repro.infer.render import render_lattice
+# Only what main(), the parser and the observability wrappers use is
+# imported here; each command imports the rest, so a cold command
+# loads just the modules it runs.
 from repro.lang import parse_program, resolve_program, typecheck_program
 from repro.lang.lexer import LexError
 from repro.lang.parser import ParseError
@@ -74,39 +72,18 @@ from repro.lang.symtab import ProgramInfo, ResolveError
 from repro.lang.typecheck import JavaTypeError
 from repro.obs import (
     LEVELS,
-    EventError,
     EventLog,
     JsonlEventWriter,
     JsonlTraceWriter,
     LoggingBridge,
     ProfileError,
     RingBufferSink,
-    TraceError,
     Tracer,
-    aggregate_trace,
-    filter_events,
-    follow_events,
-    format_aggregate_table,
-    format_event,
-    format_forest,
     format_tree,
     get_tracer,
     installed_tracer,
-    maybe_exporter,
-    merge_traces,
-    read_events,
-    trace_root_seconds,
-    validate_trace,
-    write_report,
 )
 from repro.obs.events import PY_LEVELS, installed_event_log
-from repro.runtime import RuntimeOptions, StabilizationExperiment
-from repro.runtime.compiler import CompiledRunner
-from repro.runtime.devices import SyntheticDevice
-from repro.runtime.stabilization import recovery_histogram
-from repro.service import protocol
-from repro.service.cache import ResultCache, default_disk_dir
-from repro.service.pool import CheckerPool, timed_check
 
 
 def _load(path: str) -> ProgramInfo:
@@ -231,6 +208,9 @@ def _observed(args: argparse.Namespace, root_name: str, **attrs):
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from repro.core.checker import SJavaChecker, timed_check
+    from repro.service import protocol
+
     with _observed(args, "repro.check", file=args.file):
         if args.json:
             source = Path(args.file).read_text(encoding="utf-8")
@@ -251,6 +231,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    from repro.infer import infer_annotations
+    from repro.service import protocol
+
     with _observed(args, "repro.infer", file=args.file, mode=args.mode):
         info = _load(args.file)
         result = infer_annotations(
@@ -285,6 +268,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _device_factory(args: argparse.Namespace):
+    from repro.runtime import SyntheticDevice
+
     def factory():
         return SyntheticDevice(
             seed=args.seed, limit=args.iterations * 64
@@ -294,6 +279,9 @@ def _device_factory(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.runtime import RuntimeOptions
+    from repro.runtime.compiler import CompiledRunner
+
     info = _load(args.file)
     interp = CompiledRunner(
         info,
@@ -314,6 +302,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
+    from repro.runtime import RuntimeOptions, StabilizationExperiment
+    from repro.runtime.stabilization import recovery_histogram
+
     with _observed(args, "repro.inject", file=args.file,
                    trials=args.trials):
         info = _load(args.file)
@@ -368,7 +359,7 @@ def _merge_worker_traces(args: argparse.Namespace) -> None:
     multi-process trace.  Must run after the driver's trace writer has
     closed (outside the ``_observed`` stack).  No worker files — tracing
     off, or an in-process run that opened none — is a silent no-op."""
-    from repro.obs.propagate import WORKER_TRACE_GLOB
+    from repro.obs.propagate import WORKER_TRACE_GLOB, merge_traces
 
     worker_dir = _worker_trace_dir(args)
     if worker_dir is None or not worker_dir.is_dir():
@@ -387,12 +378,13 @@ def _merge_worker_traces(args: argparse.Namespace) -> None:
 
 def _run_campaign(args: argparse.Namespace, apps: tuple) -> int:
     from repro.obs import global_registry
-    from repro.obs.exporter import ExporterError
+    from repro.obs.exporter import ExporterError, maybe_exporter
     from repro.runtime.campaign import (
         CampaignConfig,
         CampaignError,
         CampaignRunner,
     )
+    from repro.service import protocol
 
     try:
         config = CampaignConfig(
@@ -479,6 +471,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         run_campaign_oracle,
     )
     from repro.runtime.campaign import CampaignConfig, CampaignError
+    from repro.service import protocol
 
     work_dir = Path(args.work_dir)
     state_dir = Path(args.state_dir) if args.state_dir else work_dir / "ledger"
@@ -678,6 +671,11 @@ def cmd_dist_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_lattices(args: argparse.Namespace) -> int:
+    from repro.core.environment import LocationWorld
+    from repro.core.errors import DiagnosticSink
+    from repro.infer import lattice_metrics
+    from repro.infer.render import render_lattice
+
     info = _load(args.file)
     world = LocationWorld(info, DiagnosticSink())
     items = [
@@ -698,7 +696,9 @@ def cmd_lattices(args: argparse.Namespace) -> int:
     return 0
 
 
-def _batch_cache(args: argparse.Namespace) -> ResultCache | None:
+def _batch_cache(args: argparse.Namespace):
+    from repro.service.cache import ResultCache, default_disk_dir
+
     if args.no_cache:
         return None
     disk = Path(args.cache_dir) if args.cache_dir else default_disk_dir()
@@ -717,6 +717,9 @@ def _collect_sj_files(targets: list[str]) -> list[Path]:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
+    from repro.service import protocol
+    from repro.service.pool import CheckerPool
+
     files = _collect_sj_files(args.targets)
     if not files:
         print("batch: no .sj files found", file=sys.stderr)
@@ -759,11 +762,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.exporter import ExporterError
+    from repro.service.cache import default_disk_dir
     from repro.service.server import ReproServer
 
+    socket_path = args.socket or str(default_disk_dir() / "repro.sock")
     try:
         server = ReproServer(
-            args.socket,
+            socket_path,
             cache=_batch_cache(args),
             http_port=args.http_port,
             http_host=args.http_host,
@@ -771,7 +776,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ExporterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"repro daemon listening on {args.socket}", file=sys.stderr)
+    print(f"repro daemon listening on {socket_path}", file=sys.stderr)
     if server.exporter.enabled:
         # exporter.port is the *bound* port — --http-port 0 resolves to
         # the ephemeral port the kernel actually picked.
@@ -799,6 +804,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         )
         return 2
     if args.trace is not None:
+        from repro.obs import (
+            TraceError,
+            aggregate_trace,
+            format_aggregate_table,
+            format_forest,
+            validate_trace,
+        )
+
         if args.format == "prometheus":
             print(
                 "error: --format prometheus needs a running daemon "
@@ -856,6 +869,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_events(args: argparse.Namespace) -> int:
+    from repro.obs import EventError, filter_events, format_event, read_events
+
     if (args.file is None) == (args.socket is None):
         print(
             "error: events needs exactly one of FILE or --socket PATH",
@@ -911,6 +926,8 @@ def _follow_events_loop(args: argparse.Namespace) -> int:
     """``repro events FILE --follow``: stream records as a live campaign
     (or any ``--events`` writer) appends them, ``tail -f``-style.
     Filters apply per record; Ctrl-C ends the tail cleanly."""
+    from repro.obs import EventError, filter_events, follow_events, format_event
+
     try:
         for record in follow_events(args.file, poll_seconds=args.poll):
             if not filter_events(
@@ -934,6 +951,8 @@ def _follow_events_loop(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from repro.obs import EventError, write_report
+
     if not (args.campaign or args.events or args.bench or args.history):
         print(
             "error: report needs at least one input "
@@ -963,6 +982,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from repro.obs import (
+        TraceError,
+        aggregate_trace,
+        format_aggregate_table,
+        trace_root_seconds,
+        validate_trace,
+    )
     from repro.obs.bench import (
         BenchError,
         attribute_benchmarks,
@@ -977,6 +1003,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         scenario_names,
         write_bench,
     )
+    from repro.service import protocol
 
     def emit_comparison(comparison: dict) -> None:
         if args.json:
@@ -1365,8 +1392,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the checking daemon on a Unix socket"
     )
-    serve.add_argument("--socket", default=str(default_disk_dir() / "repro.sock"),
-                       help="Unix socket path to listen on")
+    serve.add_argument("--socket", default=None,
+                       help="Unix socket path to listen on (default: "
+                            "repro.sock in $REPRO_CACHE_DIR or "
+                            "~/.cache/repro)")
     serve.add_argument("--cache-dir", default=None,
                        help="on-disk result cache directory")
     serve.add_argument("--no-cache", action="store_true",

@@ -16,19 +16,10 @@ analyses that together check self-stabilization.
   produces a :class:`repro.core.errors.CheckReport`.
 """
 
-from repro.core.checker import CheckReport, SJavaChecker, check_program
-from repro.core.errors import Check, Diagnostic, Severity
-from repro.core.lattice import Lattice, LatticeError, BOTTOM, TOP
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BOTTOM",
-    "Check",
-    "CheckReport",
-    "Diagnostic",
-    "Lattice",
-    "LatticeError",
-    "Severity",
-    "SJavaChecker",
-    "TOP",
-    "check_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "checker": ("CheckReport", "SJavaChecker", "check_program"),
+    "errors": ("Check", "Diagnostic", "Severity"),
+    "lattice": ("BOTTOM", "TOP", "Lattice", "LatticeError"),
+})

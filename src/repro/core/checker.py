@@ -10,10 +10,11 @@ extension.  The result is a :class:`CheckReport`: a program
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs import get_tracer, section
+from repro.obs import get_tracer, section, timed_span
 
 from repro.core.environment import LocationWorld
 from repro.core.errors import Check, Diagnostic, DiagnosticSink, Severity
@@ -188,15 +189,34 @@ def check_program(source: str) -> CheckReport:
     SJava check failures are reported in the returned
     :class:`CheckReport`.
     """
-    with get_tracer().span("parse"):
+    return timed_check(source)[0]
+
+
+def timed_check(source: str) -> tuple[CheckReport, dict]:
+    """:func:`check_program`, also returning each pass's wall time.
+
+    The timings cover ``parse``/``resolve``/``typecheck``/``check`` in
+    seconds.  Each pass also opens a span on the installed tracer
+    (:mod:`repro.obs`), so ``--trace``/``--profile`` see the same phases
+    the timings dict reports.
+    """
+    timings: dict[str, float] = {}
+    with timed_span("parse", timings):
         program = parse_program(source)
-    return check_parsed(program)
+    return _check_timed(program, timings), timings
 
 
 def check_parsed(program: ast.Program) -> CheckReport:
-    tracer = get_tracer()
-    with tracer.span("resolve"):
+    return _check_timed(program, {})
+
+
+def _check_timed(program: ast.Program, timings: dict) -> CheckReport:
+    with timed_span("resolve", timings):
         info = resolve_program(program)
-    with tracer.span("typecheck"):
+    with timed_span("typecheck", timings):
         typecheck_program(info)
-    return SJavaChecker(info).run()
+    start = time.perf_counter()
+    # SJavaChecker opens its own "lattice_build" and "check" spans.
+    report = SJavaChecker(info).run()
+    timings["check"] = time.perf_counter() - start
+    return report

@@ -9,40 +9,15 @@ local site) make the whole fabric sweepable by the existing campaign
 machinery.  See docs/DISTRIBUTED.md.
 """
 
-from repro.dist.harness import (
-    DistAppSpec,
-    DistExperiment,
-    NodeView,
-    SimResult,
-    coin_bit,
-)
-from repro.dist.registry import (
-    DIST_APP_NAMES,
-    dist_app_experiment,
-    dist_app_spec,
-)
-from repro.dist.scheduler import SCHEDULER_NAMES, Scheduler, make_scheduler
-from repro.dist.topology import (
-    TOPOLOGY_KINDS,
-    Topology,
-    TopologyError,
-    make_topology,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DIST_APP_NAMES",
-    "DistAppSpec",
-    "DistExperiment",
-    "NodeView",
-    "SCHEDULER_NAMES",
-    "Scheduler",
-    "SimResult",
-    "TOPOLOGY_KINDS",
-    "Topology",
-    "TopologyError",
-    "coin_bit",
-    "dist_app_experiment",
-    "dist_app_spec",
-    "make_scheduler",
-    "make_topology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "harness": (
+        "DistAppSpec", "DistExperiment", "NodeView", "SimResult", "coin_bit",
+    ),
+    "registry": ("DIST_APP_NAMES", "dist_app_experiment", "dist_app_spec"),
+    "scheduler": ("SCHEDULER_NAMES", "Scheduler", "make_scheduler"),
+    "topology": (
+        "TOPOLOGY_KINDS", "Topology", "TopologyError", "make_topology",
+    ),
+})

@@ -24,14 +24,9 @@ Pipeline:
    Table 6.1 evaluation (location counts and top-to-bottom path counts).
 """
 
-from repro.infer.engine import InferenceEngine, InferenceResult, infer_annotations
-from repro.infer.metrics import LatticeMetrics, lattice_metrics, count_paths
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "InferenceEngine",
-    "InferenceResult",
-    "LatticeMetrics",
-    "count_paths",
-    "infer_annotations",
-    "lattice_metrics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "engine": ("InferenceEngine", "InferenceResult", "infer_annotations"),
+    "metrics": ("LatticeMetrics", "count_paths", "lattice_metrics"),
+})

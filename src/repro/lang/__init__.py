@@ -10,20 +10,12 @@ graphs, and a call graph.
 The public entry point is :func:`repro.lang.parse_program`.
 """
 
-from repro.lang.ast import Program
-from repro.lang.lexer import LexError, tokenize
-from repro.lang.parser import ParseError, parse_program
-from repro.lang.symtab import ProgramInfo, resolve_program
-from repro.lang.typecheck import JavaTypeError, typecheck_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JavaTypeError",
-    "LexError",
-    "ParseError",
-    "Program",
-    "ProgramInfo",
-    "parse_program",
-    "resolve_program",
-    "tokenize",
-    "typecheck_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "ast": ("Program",),
+    "lexer": ("LexError", "tokenize"),
+    "parser": ("ParseError", "parse_program"),
+    "symtab": ("ProgramInfo", "resolve_program"),
+    "typecheck": ("JavaTypeError", "typecheck_program"),
+})

@@ -57,250 +57,59 @@ report`` renders the HTML dashboard, and ``repro bench`` runs,
 compares, and reports benchmarks.
 """
 
-from repro.obs.bench import (
-    BENCH_SCHEMA,
-    BenchError,
-    Scenario,
-    attribute_benchmarks,
-    bench_payload,
-    compare_benchmarks,
-    format_attribution,
-    read_bench,
-    register_scenario,
-    run_scenario,
-    run_scenarios,
-    scenario_names,
-    scenario_result_from_samples,
-    validate_bench,
-    write_bench,
-)
-from repro.obs.codec import environment_fingerprint
-from repro.obs.history import (
-    HistoryWarning,
-    bench_trend,
-    detect_changepoints,
-    env_key,
-    format_trend_table,
-    load_history,
-    trend_series,
-)
-from repro.obs.profile import (
-    PROFILE_SCHEMA,
-    NullProfiler,
-    ProfileError,
-    SamplingProfiler,
-    aggregate_profile,
-    format_profile_table,
-    get_profiler,
-    installed_profiler,
-    profile_payload,
-    read_profile,
-    section,
-    section_counts,
-    set_profiler,
-    validate_profile,
-    write_profile,
-)
-from repro.obs.events import (
-    EVENTS_SCHEMA,
-    LEVELS,
-    EventBuffer,
-    EventError,
-    EventLog,
-    JsonlEventWriter,
-    LoggingBridge,
-    NullEventLog,
-    filter_events,
-    follow_events,
-    format_event,
-    get_event_log,
-    installed_event_log,
-    read_events,
-    set_event_log,
-    validate_events,
-)
-from repro.obs.exporter import (
-    MetricsExporter,
-    NullExporter,
-    maybe_exporter,
-)
-from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS,
-    METRICS_SCHEMA,
-    SNAPSHOT_QUANTILES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    global_registry,
-)
-from repro.obs.report import (
-    REPORT_SCHEMA,
-    render_report,
-    write_report,
-)
-from repro.obs.resources import (
-    RESOURCES_SCHEMA,
-    NullResourceMonitor,
-    ResourceError,
-    ResourceMonitor,
-    format_resources_table,
-    get_resource_monitor,
-    installed_resource_monitor,
-    peak_rss_bytes,
-    read_resources,
-    resources_payload,
-    set_resource_monitor,
-    validate_resources,
-    write_resources,
-)
-from repro.obs.propagate import (
-    PropagationError,
-    TraceContext,
-    current_context,
-    merge_traces,
-    shard_trace_payload,
-    worker_traced,
-)
-from repro.obs.sinks import (
-    JsonlTraceWriter,
-    JsonlWriter,
-    RingBufferSink,
-    TraceError,
-    TraceWarning,
-    aggregate_trace,
-    build_forest,
-    read_jsonl,
-    format_aggregate_table,
-    format_forest,
-    format_tree,
-    orphan_events,
-    read_trace,
-    trace_root_seconds,
-    validate_trace,
-)
-from repro.obs.trace import (
-    TRACE_SCHEMA,
-    NullTracer,
-    Span,
-    Tracer,
-    get_tracer,
-    installed_tracer,
-    set_tracer,
-    span_event,
-    timed_span,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TRACE_SCHEMA",
-    "METRICS_SCHEMA",
-    "BENCH_SCHEMA",
-    "EVENTS_SCHEMA",
-    "REPORT_SCHEMA",
-    "render_report",
-    "write_report",
-    "LEVELS",
-    "EventBuffer",
-    "EventError",
-    "EventLog",
-    "JsonlEventWriter",
-    "LoggingBridge",
-    "NullEventLog",
-    "filter_events",
-    "follow_events",
-    "format_event",
-    "get_event_log",
-    "installed_event_log",
-    "read_events",
-    "set_event_log",
-    "validate_events",
-    "MetricsExporter",
-    "NullExporter",
-    "maybe_exporter",
-    "PropagationError",
-    "TraceContext",
-    "current_context",
-    "merge_traces",
-    "shard_trace_payload",
-    "worker_traced",
-    "JsonlWriter",
-    "TraceWarning",
-    "read_jsonl",
-    "DEFAULT_TIME_BUCKETS",
-    "SNAPSHOT_QUANTILES",
-    "BenchError",
-    "Scenario",
-    "attribute_benchmarks",
-    "format_attribution",
-    "HistoryWarning",
-    "bench_trend",
-    "detect_changepoints",
-    "env_key",
-    "format_trend_table",
-    "load_history",
-    "trend_series",
-    "PROFILE_SCHEMA",
-    "NullProfiler",
-    "ProfileError",
-    "SamplingProfiler",
-    "aggregate_profile",
-    "format_profile_table",
-    "get_profiler",
-    "installed_profiler",
-    "profile_payload",
-    "read_profile",
-    "section",
-    "section_counts",
-    "set_profiler",
-    "validate_profile",
-    "write_profile",
-    "RESOURCES_SCHEMA",
-    "NullResourceMonitor",
-    "ResourceError",
-    "ResourceMonitor",
-    "format_resources_table",
-    "get_resource_monitor",
-    "installed_resource_monitor",
-    "peak_rss_bytes",
-    "read_resources",
-    "resources_payload",
-    "set_resource_monitor",
-    "validate_resources",
-    "write_resources",
-    "bench_payload",
-    "compare_benchmarks",
-    "environment_fingerprint",
-    "read_bench",
-    "register_scenario",
-    "run_scenario",
-    "run_scenarios",
-    "scenario_names",
-    "scenario_result_from_samples",
-    "validate_bench",
-    "write_bench",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "global_registry",
-    "JsonlTraceWriter",
-    "RingBufferSink",
-    "TraceError",
-    "aggregate_trace",
-    "build_forest",
-    "format_aggregate_table",
-    "trace_root_seconds",
-    "format_forest",
-    "format_tree",
-    "orphan_events",
-    "read_trace",
-    "validate_trace",
-    "NullTracer",
-    "Span",
-    "Tracer",
-    "get_tracer",
-    "installed_tracer",
-    "set_tracer",
-    "span_event",
-    "timed_span",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "bench": (
+        "BENCH_SCHEMA", "BenchError", "Scenario", "attribute_benchmarks",
+        "bench_payload", "compare_benchmarks", "format_attribution",
+        "read_bench", "register_scenario", "run_scenario", "run_scenarios",
+        "scenario_names", "scenario_result_from_samples", "validate_bench",
+        "write_bench",
+    ),
+    "codec": ("environment_fingerprint",),
+    "events": (
+        "EVENTS_SCHEMA", "LEVELS", "EventBuffer", "EventError", "EventLog",
+        "JsonlEventWriter", "LoggingBridge", "NullEventLog", "filter_events",
+        "follow_events", "format_event", "get_event_log",
+        "installed_event_log", "read_events", "set_event_log",
+        "validate_events",
+    ),
+    "exporter": ("MetricsExporter", "NullExporter", "maybe_exporter"),
+    "history": (
+        "HistoryWarning", "bench_trend", "detect_changepoints", "env_key",
+        "format_trend_table", "load_history", "trend_series",
+    ),
+    "metrics": (
+        "DEFAULT_TIME_BUCKETS", "METRICS_SCHEMA", "SNAPSHOT_QUANTILES",
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "global_registry",
+    ),
+    "profile": (
+        "PROFILE_SCHEMA", "NullProfiler", "ProfileError", "SamplingProfiler",
+        "aggregate_profile", "format_profile_table", "get_profiler",
+        "installed_profiler", "profile_payload", "read_profile", "section",
+        "section_counts", "set_profiler", "validate_profile", "write_profile",
+    ),
+    "propagate": (
+        "PropagationError", "TraceContext", "current_context", "merge_traces",
+        "shard_trace_payload", "worker_traced",
+    ),
+    "report": ("REPORT_SCHEMA", "render_report", "write_report"),
+    "resources": (
+        "RESOURCES_SCHEMA", "NullResourceMonitor", "ResourceError",
+        "ResourceMonitor", "format_resources_table", "get_resource_monitor",
+        "installed_resource_monitor", "peak_rss_bytes", "read_resources",
+        "resources_payload", "set_resource_monitor", "validate_resources",
+        "write_resources",
+    ),
+    "sinks": (
+        "JsonlTraceWriter", "JsonlWriter", "RingBufferSink", "TraceError",
+        "TraceWarning", "aggregate_trace", "build_forest", "read_jsonl",
+        "format_aggregate_table", "format_forest", "format_tree",
+        "orphan_events", "read_trace", "trace_root_seconds", "validate_trace",
+    ),
+    "trace": (
+        "TRACE_SCHEMA", "NullTracer", "Span", "Tracer", "get_tracer",
+        "installed_tracer", "set_tracer", "span_event", "timed_span",
+    ),
+})

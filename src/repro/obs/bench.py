@@ -113,7 +113,7 @@ def register_scenario(scenario: Scenario) -> Scenario:
 def _check_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
     def build() -> Callable[[], dict]:
         from repro.apps.registry import app_source
-        from repro.service.pool import timed_check
+        from repro.core.checker import timed_check
 
         source = app_source(app)
 

@@ -10,30 +10,16 @@ chosen memory or arithmetic operation with a random value, and the
 stabilization-experiment harness that measures recovery distances.
 """
 
-from repro.runtime.devices import DeviceBus, ScriptedDevice, SyntheticDevice
-from repro.runtime.injection import ErrorInjector
-from repro.runtime.interpreter import (
-    Interpreter,
-    RuntimeOptions,
-    SJavaRuntimeError,
-    StepBudgetExceeded,
-)
-from repro.runtime.stabilization import (
-    InjectionTrial,
-    StabilizationExperiment,
-    recovery_distance,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeviceBus",
-    "ErrorInjector",
-    "InjectionTrial",
-    "Interpreter",
-    "RuntimeOptions",
-    "SJavaRuntimeError",
-    "ScriptedDevice",
-    "StabilizationExperiment",
-    "StepBudgetExceeded",
-    "SyntheticDevice",
-    "recovery_distance",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "devices": ("DeviceBus", "ScriptedDevice", "SyntheticDevice"),
+    "injection": ("ErrorInjector",),
+    "interpreter": (
+        "Interpreter", "RuntimeOptions", "SJavaRuntimeError",
+        "StepBudgetExceeded",
+    ),
+    "stabilization": (
+        "InjectionTrial", "StabilizationExperiment", "recovery_distance",
+    ),
+})

@@ -18,38 +18,15 @@ CLI entry points: ``repro batch``, ``repro serve``, and ``--json`` on
 ``repro check`` / ``repro infer``.
 """
 
-from repro.service.cache import ResultCache, checker_fingerprint, source_key
-from repro.service.client import (
-    ReproClient,
-    ServiceError,
-    StaleSocketError,
-    remove_stale_socket,
-    socket_is_live,
-)
-from repro.service.pool import (
-    BatchResult,
-    CheckerPool,
-    ResilientPool,
-    TaskFailure,
-)
-from repro.service.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.service.server import ReproServer, serve
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchResult",
-    "CheckerPool",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ReproClient",
-    "ReproServer",
-    "ResilientPool",
-    "ResultCache",
-    "ServiceError",
-    "StaleSocketError",
-    "TaskFailure",
-    "checker_fingerprint",
-    "remove_stale_socket",
-    "serve",
-    "socket_is_live",
-    "source_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cache": ("ResultCache", "checker_fingerprint", "source_key"),
+    "client": (
+        "ReproClient", "ServiceError", "StaleSocketError",
+        "remove_stale_socket", "socket_is_live",
+    ),
+    "pool": ("BatchResult", "CheckerPool", "ResilientPool", "TaskFailure"),
+    "protocol": ("PROTOCOL_VERSION", "ProtocolError"),
+    "server": ("ReproServer", "serve"),
+})

@@ -24,17 +24,19 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence,
+)
 
-from repro.core.checker import CheckReport, SJavaChecker
-from repro.lang import parse_program, resolve_program, typecheck_program
-from repro.obs import MetricsRegistry, timed_span
+from repro.obs import MetricsRegistry
 from repro.lang.lexer import LexError
 from repro.lang.parser import ParseError
 from repro.lang.symtab import ResolveError
 from repro.lang.typecheck import JavaTypeError
 from repro.service import protocol
-from repro.service.cache import ResultCache
+
+if TYPE_CHECKING:
+    from repro.service.cache import ResultCache
 
 _FRONT_END_ERRORS = (LexError, ParseError, ResolveError, JavaTypeError)
 
@@ -46,34 +48,15 @@ TIMEOUT = "timeout"
 ERROR = "error"
 
 
-def timed_check(source: str) -> tuple[CheckReport, dict]:
-    """Run the full pipeline on one source, timing each pass.
-
-    Front-end failures raise (as in :func:`repro.core.checker.check_program`);
-    the returned timings cover ``parse``/``resolve``/``typecheck``/``check``
-    in seconds.  Each pass also opens a span on the installed tracer
-    (:mod:`repro.obs`), so ``--trace``/``--profile`` see the same phases
-    the timings dict reports.
-    """
-    timings: dict[str, float] = {}
-    with timed_span("parse", timings):
-        program = parse_program(source)
-    with timed_span("resolve", timings):
-        info = resolve_program(program)
-    with timed_span("typecheck", timings):
-        typecheck_program(info)
-    start = time.perf_counter()
-    # SJavaChecker opens its own "lattice_build" and "check" spans.
-    report = SJavaChecker(info).run()
-    timings["check"] = time.perf_counter() - start
-    return report, timings
-
-
 def check_source_payload(source: str, *, file: Optional[str] = None) -> dict:
     """Check one source and return a protocol payload (``check`` on
     success, ``error`` on front-end failure).  This is the unit of work
     shipped to pool workers, so it must stay a module-level function
-    (picklable) returning plain dicts."""
+    (picklable) returning plain dicts.  The checker is imported here,
+    not at module level, so campaigns, which fan out through
+    :class:`ResilientPool`, never load it."""
+    from repro.core.checker import timed_check
+
     start = time.perf_counter()
     try:
         report, timings = timed_check(source)

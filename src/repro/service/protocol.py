@@ -34,10 +34,12 @@ an ``ok: false`` response, never a dropped connection.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.checker import CheckReport
 from repro.core.errors import Check, Severity
+
+if TYPE_CHECKING:
+    from repro.core.checker import CheckReport
 
 #: Bump the minor version for additive changes, the major version for
 #: breaking ones.  Cache entries embed this, so any bump invalidates the
@@ -96,6 +98,9 @@ def check_payload(
 
 
 def report_from_payload(payload: dict) -> CheckReport:
+    # Imported here so that building payloads never loads the checker.
+    from repro.core.checker import CheckReport
+
     validate_check_payload(payload)
     return CheckReport.from_dict(payload["report"])
 

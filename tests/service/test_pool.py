@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.checker import timed_check
 from repro.service.cache import ResultCache
 from repro.service.pool import (
     ERROR,
@@ -13,7 +14,6 @@ from repro.service.pool import (
     BatchResult,
     CheckerPool,
     check_source_payload,
-    timed_check,
 )
 
 

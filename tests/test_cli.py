@@ -104,7 +104,7 @@ class TestRunAndInject:
                 return [diverged] * trials
 
         monkeypatch.setattr(
-            "repro.cli.StabilizationExperiment", FakeExperiment
+            "repro.runtime.StabilizationExperiment", FakeExperiment
         )
         assert main(["inject", WEATHER, "--trials", "3"]) == 1
         assert "diverged: 3" in capsys.readouterr().out
