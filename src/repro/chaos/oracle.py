@@ -175,13 +175,7 @@ def run_batch_oracle(
             f"{injector.summary()['injected']} faults injected"
         )
     identical = clean == first == second
-    oracle = {
-        "identical": identical,
-        "clean_complete": True,
-        "chaos_complete": True,
-        "infra_failed": 0,
-        "holds": identical,
-    }
+    oracle = _verdict(identical, {"complete": True}, {"complete": True})
     get_event_log().emit(
         "chaos.oracle",
         level="info" if oracle["holds"] else "error",

@@ -65,11 +65,10 @@ from pathlib import Path
 # Only what main(), the parser and the observability wrappers use is
 # imported here; each command imports the rest, so a cold command
 # loads just the modules it runs.
-from repro.lang import parse_program, resolve_program, typecheck_program
-from repro.lang.lexer import LexError
-from repro.lang.parser import ParseError
-from repro.lang.symtab import ProgramInfo, ResolveError
-from repro.lang.typecheck import JavaTypeError
+from repro.lang import (
+    FRONT_END_ERRORS, parse_program, resolve_program, typecheck_program,
+)
+from repro.lang.symtab import ProgramInfo
 from repro.obs import (
     LEVELS,
     EventLog,
@@ -1567,7 +1566,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LexError, ParseError, ResolveError, JavaTypeError) as exc:
+    except FRONT_END_ERRORS as exc:
         print(f"front-end error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -17,5 +17,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "lexer": ("LexError", "tokenize"),
     "parser": ("ParseError", "parse_program"),
     "symtab": ("ProgramInfo", "resolve_program"),
-    "typecheck": ("JavaTypeError", "typecheck_program"),
+    "typecheck": ("FRONT_END_ERRORS", "JavaTypeError", "typecheck_program"),
 })

@@ -25,7 +25,11 @@ from repro.lang.builtins import (
     lookup_builtin_method,
     lookup_namespace_function,
 )
-from repro.lang.symtab import BuiltinCall, MethodCall, ProgramInfo
+from repro.lang.lexer import LexError
+from repro.lang.parser import ParseError
+from repro.lang.symtab import (
+    BuiltinCall, MethodCall, ProgramInfo, ResolveError,
+)
 
 
 class JavaTypeError(Exception):
@@ -34,6 +38,11 @@ class JavaTypeError(Exception):
     def __init__(self, message: str, node: ast.Node) -> None:
         super().__init__(f"{node.line}:{node.col}: {message}")
         self.node = node
+
+
+#: What the front end (lex, parse, resolve, typecheck) raises on a bad
+#: program; everything else it raises is a bug.
+FRONT_END_ERRORS = (LexError, ParseError, ResolveError, JavaTypeError)
 
 
 # ---------------------------------------------------------------------------

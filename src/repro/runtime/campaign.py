@@ -500,8 +500,6 @@ class CampaignRunner:
     trace_dir: Optional[Path] = None
     shard_timeout: Optional[float] = None
     max_retries: int = 2
-    backoff_base: float = 0.25
-    backoff_cap: float = 4.0
     fresh: bool = False
     progress: Optional[Callable[[str], None]] = None
     #: Stop driving after this many newly executed shards (the manifest
@@ -569,8 +567,6 @@ class CampaignRunner:
             max_workers=self.max_workers,
             task_timeout=self.shard_timeout,
             max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
             # Seeded jitter: the same campaign backs off identically on
             # every run, so chaos runs are reproducible end to end.
             rng=random.Random(f"backoff:{self.config.seed}"),

@@ -1,15 +1,21 @@
-"""Parallel batch checking.
+"""Batch checking and the one process fan-out under it.
 
-:class:`CheckerPool` fans a batch of ``.sj`` files out across worker
-processes (``concurrent.futures.ProcessPoolExecutor``) with a per-task
-timeout.  Cache lookups happen in the parent — only misses are shipped
-to workers, and their reports are written back through the shared
-:class:`~repro.service.cache.ResultCache`, so a warm batch run touches
-no worker at all.
+:class:`ResilientPool` runs a picklable function over many payloads on
+``concurrent.futures.ProcessPoolExecutor`` workers and survives the
+faults it meets.  Campaign shards and :class:`CheckerPool`'s cache
+misses both run through it.
 
-With ``max_workers=1`` the pool degrades gracefully to plain in-process
-execution: no subprocesses, no pickling, no timeout enforcement — the
-mode used by tests, coverage runs, and platforms without ``fork``.
+:class:`CheckerPool` reads each ``.sj`` file and looks it up in the
+shared :class:`~repro.service.cache.ResultCache` in the parent; only
+misses go to the pool, each as the source text the parent read, and
+their reports are written back through the cache, so a warm batch run
+touches no worker at all.  Each miss gets one attempt: a check that
+exceeds the timeout reads ``timeout``, one that raises reads ``error``,
+and a killed worker fails only a file that was in flight with it.
+
+With ``max_workers=1`` both degrade to plain in-process execution: no
+subprocesses, no pickling, no timeout enforcement — the mode used by
+tests, coverage runs, and platforms without ``fork``.
 
 Workers return protocol payloads (plain dicts), not checker objects, so
 the wire format is exercised on every parallel run and nothing
@@ -24,21 +30,14 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence,
-)
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.obs import MetricsRegistry
-from repro.lang.lexer import LexError
-from repro.lang.parser import ParseError
-from repro.lang.symtab import ResolveError
-from repro.lang.typecheck import JavaTypeError
+from repro.lang import FRONT_END_ERRORS
 from repro.service import protocol
 
 if TYPE_CHECKING:
     from repro.service.cache import ResultCache
-
-_FRONT_END_ERRORS = (LexError, ParseError, ResolveError, JavaTypeError)
 
 #: Verdicts a batch item can end with.
 PASS = "pass"
@@ -50,17 +49,16 @@ ERROR = "error"
 
 def check_source_payload(source: str, *, file: Optional[str] = None) -> dict:
     """Check one source and return a protocol payload (``check`` on
-    success, ``error`` on front-end failure).  This is the unit of work
-    shipped to pool workers, so it must stay a module-level function
-    (picklable) returning plain dicts.  The checker is imported here,
-    not at module level, so campaigns, which fan out through
-    :class:`ResilientPool`, never load it."""
+    success, ``error`` on front-end failure).  Pool workers run it
+    (through :func:`_check_task`), so it returns plain dicts.  The
+    checker is imported here, not at module level, so campaigns, which
+    fan out through :class:`ResilientPool`, never load it."""
     from repro.core.checker import timed_check
 
     start = time.perf_counter()
     try:
         report, timings = timed_check(source)
-    except _FRONT_END_ERRORS as exc:
+    except FRONT_END_ERRORS as exc:
         return protocol.error_payload(str(exc), file=file)
     return protocol.check_payload(
         report,
@@ -70,12 +68,9 @@ def check_source_payload(source: str, *, file: Optional[str] = None) -> dict:
     )
 
 
-def _check_path_worker(path: str) -> dict:
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        return protocol.error_payload(str(exc), file=path, error="io")
-    return check_source_payload(source, file=path)
+def _check_task(task: dict) -> dict:
+    """The :class:`CheckerPool` task: check the source the parent read."""
+    return check_source_payload(task["source"], file=task["file"])
 
 
 @dataclass
@@ -288,89 +283,82 @@ class BatchResult:
 class CheckerPool:
     """Batch front end over the checker: cache, fan-out, timeouts.
 
+    Cache misses run through :class:`ResilientPool`, one attempt each.
     ``task_timeout`` (seconds) bounds each file's check when running
-    with worker processes; a timed-out task is abandoned (its worker is
-    left to finish in the background and the executor reaps it on
-    shutdown).  In-process mode cannot interrupt a check, so the timeout
-    is not enforced there.
+    with worker processes; a timed-out check is abandoned (its worker is
+    left to finish in the background, and the interpreter joins it at
+    exit).  In-process mode cannot interrupt a check, so the timeout is
+    not enforced there.
     """
 
     max_workers: int = 1
     task_timeout: Optional[float] = None
     cache: Optional[ResultCache] = None
-    #: When set, task queue-wait and execution times are recorded into
-    #: ``repro_pool_queue_seconds`` / ``repro_pool_exec_seconds``
-    #: histograms (the daemon passes its registry in).
+    #: When set, :meth:`check_source` records each check's execution
+    #: time into the ``repro_pool_exec_seconds`` histogram (the daemon
+    #: passes its registry in).
     metrics: Optional[MetricsRegistry] = None
     _stats: dict = field(default_factory=lambda: {"checked": 0, "cached": 0})
-
-    def _observe(self, name: str, seconds: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(
-                name, "pool task latency in seconds"
-            ).observe(seconds)
 
     # -- public API ------------------------------------------------------
 
     def check_paths(self, paths: Sequence[str | Path]) -> list[BatchResult]:
         """Check many files; results come back in input order."""
-        sources: list[tuple[str, Optional[str]]] = []
-        for path in paths:
-            try:
-                sources.append(
-                    (str(path), Path(path).read_text(encoding="utf-8"))
-                )
-            except OSError:
-                sources.append((str(path), None))
-        results: list[Optional[BatchResult]] = [None] * len(sources)
+        results: list[Optional[BatchResult]] = []
         misses: list[tuple[int, str, str]] = []  # (index, path, source)
-
-        for index, (path, source) in enumerate(sources):
-            if source is None:
-                results[index] = BatchResult(
+        for index, path in enumerate(map(str, paths)):
+            try:
+                source = Path(path).read_text(encoding="utf-8")
+            except OSError:
+                results.append(BatchResult(
                     path=path, verdict=ERROR, elapsed_seconds=0.0,
                     message=f"cannot read {path}",
-                )
+                ))
                 continue
-            cached = self.cache.get(source) if self.cache is not None else None
-            if cached is not None:
-                self._stats["cached"] += 1
-                results[index] = BatchResult(
-                    path=path,
-                    verdict=PASS if cached.self_stabilizing else FAIL,
-                    elapsed_seconds=0.0,
-                    cached=True,
-                    error_count=len(cached.errors),
-                    payload=protocol.check_payload(
-                        cached, file=path, cached=True
-                    ),
-                )
-            else:
+            hit = self._cached(source, path)
+            if hit is None:
                 misses.append((index, path, source))
+            results.append(hit)
 
-        for index, payload in self._execute(misses):
-            path, source = sources[index][0], sources[index][1]
+        # One attempt per file: a retried hang would cost the batch one
+        # timeout per attempt.
+        pool = ResilientPool(
+            max_workers=self.max_workers,
+            task_timeout=self.task_timeout,
+            max_retries=0,
+        )
+        tasks = [
+            {"source": source, "file": path} for _, path, source in misses
+        ]
+        for position, outcome in pool.run(_check_task, tasks):
+            index, path, source = misses[position]
+            if not isinstance(outcome, TaskFailure):
+                payload = outcome
+            elif outcome.reason == "timeout":
+                payload = protocol.error_payload(
+                    f"check exceeded {self.task_timeout:.1f}s",
+                    file=path,
+                    error="timeout",
+                )
+            else:  # the check raised, or its worker died
+                payload = protocol.error_payload(
+                    outcome.message, file=path, error="worker"
+                )
             results[index] = self._absorb(path, source, payload)
-
-        return [r for r in results if r is not None]
+        return results
 
     def check_source(self, source: str, *, file: str = "<memory>") -> BatchResult:
         """Single-source entry point used by the daemon."""
-        cached = self.cache.get(source) if self.cache is not None else None
-        if cached is not None:
-            self._stats["cached"] += 1
-            return BatchResult(
-                path=file,
-                verdict=PASS if cached.self_stabilizing else FAIL,
-                elapsed_seconds=0.0,
-                cached=True,
-                error_count=len(cached.errors),
-                payload=protocol.check_payload(cached, file=file, cached=True),
-            )
+        hit = self._cached(source, file)
+        if hit is not None:
+            return hit
         start = time.perf_counter()
         payload = check_source_payload(source, file=file)
         elapsed = time.perf_counter() - start
-        self._observe("repro_pool_exec_seconds", elapsed)
+        if self.metrics is not None:
+            self.metrics.histogram(
+                "repro_pool_exec_seconds", "pool task latency in seconds"
+            ).observe(elapsed)
         return self._absorb(file, source, payload, elapsed=elapsed)
 
     def stats(self) -> dict:
@@ -379,66 +367,36 @@ class CheckerPool:
             stats["cache"] = self.cache.stats.to_dict()
         return stats
 
-    # -- execution -------------------------------------------------------
+    # -- results ---------------------------------------------------------
 
-    def _execute(
-        self, misses: list[tuple[int, str, str]]
-    ) -> Iterable[tuple[int, dict]]:
-        if not misses:
-            return
-        if self.max_workers <= 1:
-            for index, path, source in misses:
-                start = time.perf_counter()
-                payload = check_source_payload(source, file=path)
-                self._observe(
-                    "repro_pool_exec_seconds", time.perf_counter() - start
-                )
-                yield index, payload
-            return
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.max_workers
-        ) as executor:
-            submitted = time.perf_counter()
-            futures = [
-                (index, path, executor.submit(_check_path_worker, path))
-                for index, path, _ in misses
-            ]
-            for index, path, future in futures:
-                try:
-                    payload = future.result(timeout=self.task_timeout)
-                    settle = time.perf_counter() - submitted
-                    exec_seconds = float(payload.get("elapsed_seconds", 0.0))
-                    self._observe("repro_pool_exec_seconds", exec_seconds)
-                    self._observe(
-                        "repro_pool_queue_seconds",
-                        max(0.0, settle - exec_seconds),
-                    )
-                    yield index, payload
-                except concurrent.futures.TimeoutError:
-                    future.cancel()
-                    yield index, protocol.error_payload(
-                        f"check exceeded {self.task_timeout:.1f}s",
-                        file=path,
-                        error="timeout",
-                    )
-                except Exception as exc:  # worker crash, broken pool
-                    yield index, protocol.error_payload(
-                        str(exc), file=path, error="worker"
-                    )
+    def _cached(self, source: str, path: str) -> Optional[BatchResult]:
+        """The cached verdict for ``source``, or None on a miss."""
+        cached = self.cache.get(source) if self.cache is not None else None
+        if cached is None:
+            return None
+        self._stats["cached"] += 1
+        return BatchResult(
+            path=path,
+            verdict=PASS if cached.self_stabilizing else FAIL,
+            elapsed_seconds=0.0,
+            cached=True,
+            error_count=len(cached.errors),
+            payload=protocol.check_payload(cached, file=path, cached=True),
+        )
 
     def _absorb(
         self,
         path: str,
-        source: Optional[str],
+        source: str,
         payload: dict,
         *,
         elapsed: Optional[float] = None,
     ) -> BatchResult:
-        """Turn a worker payload into a BatchResult, feeding the cache."""
+        """Turn a check payload into a BatchResult, feeding the cache."""
         self._stats["checked"] += 1
         if payload.get("kind") == "check":
             report = protocol.report_from_payload(payload)
-            if self.cache is not None and source is not None:
+            if self.cache is not None:
                 self.cache.put(source, report)
             return BatchResult(
                 path=path,

@@ -30,7 +30,7 @@ Every response carries ``version``, ``ok``, and the server-assigned
 Observability: the daemon installs a :class:`~repro.obs.Tracer` (ring
 buffer sink) for its lifetime, wraps every operation in an ``op.<name>``
 span — handler threads each grow their own well-nested tree — and wires
-cache hit/miss/eviction statistics and pool latency histograms into a
+cache hit/miss/eviction statistics and a check latency histogram into a
 per-server metrics registry.  Requests may carry an optional ``trace``
 traceparent field: the op span then records the calling client's span
 as its remote parent, linking daemon work into the client's distributed
@@ -49,11 +49,9 @@ from pathlib import Path
 from typing import Optional
 
 from repro.infer import infer_annotations
-from repro.lang import parse_program, resolve_program, typecheck_program
-from repro.lang.lexer import LexError
-from repro.lang.parser import ParseError
-from repro.lang.symtab import ResolveError
-from repro.lang.typecheck import JavaTypeError
+from repro.lang import (
+    FRONT_END_ERRORS, parse_program, resolve_program, typecheck_program,
+)
 from repro.obs import (
     EventBuffer,
     EventLog,
@@ -72,8 +70,6 @@ from repro.obs.propagate import PropagationError, TraceContext
 from repro.service import protocol
 from repro.service.cache import ResultCache
 from repro.service.pool import CheckerPool
-
-_FRONT_END_ERRORS = (LexError, ParseError, ResolveError, JavaTypeError)
 
 OPS = ("check", "infer", "status", "metrics", "events", "shutdown")
 
@@ -321,7 +317,7 @@ class ReproServer(
                 response = handler(request, request_id)
                 span.set_attr("ok", bool(response.get("ok")))
             return response
-        except _FRONT_END_ERRORS as exc:
+        except FRONT_END_ERRORS as exc:
             return self._error(request_id, op, f"front-end error: {exc}")
         except Exception as exc:  # a bug must not kill the daemon
             return self._error(request_id, op, f"internal error: {exc}")

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+from pathlib import Path
+
 import pytest
 
+import repro.core.checker
 from repro.core.checker import timed_check
 from repro.service.cache import ResultCache
 from repro.service.pool import (
@@ -11,6 +17,7 @@ from repro.service.pool import (
     FAIL,
     FRONT_END_ERROR,
     PASS,
+    TIMEOUT,
     BatchResult,
     CheckerPool,
     check_source_payload,
@@ -124,3 +131,94 @@ class TestSingleSource:
         pool = CheckerPool(cache=ResultCache())
         assert not pool.check_source(wind_source).cached
         assert pool.check_source(wind_source).cached
+
+
+#: The first line of the one file in a batch whose check is faulted.
+VICTIM = "// fault victim\n"
+
+
+def with_victim(tmp_path, files) -> tuple[list, Path]:
+    """``files`` with a marked copy of the first inserted after it."""
+    victim = tmp_path / "victim.sj"
+    victim.write_text(VICTIM + Path(files[0]).read_text())
+    return [files[0], victim, *files[1:]], victim
+
+
+def fault_victim(monkeypatch, fault) -> None:
+    """Run ``fault`` at the start of the victim's check.  The pool's
+    task imports ``timed_check`` at call time, so workers forked after
+    this patch inherit it (the fork start method)."""
+    real = repro.core.checker.timed_check
+
+    def timed_check(source):
+        if source.startswith(VICTIM):
+            fault()
+        return real(source)
+
+    monkeypatch.setattr(repro.core.checker, "timed_check", timed_check)
+
+
+class TestFaultIsolation:
+    """One file's fault costs that file, not the batch."""
+
+    def test_killed_worker_fails_only_files_in_flight(
+        self, monkeypatch, tmp_path, app_files, broken_source
+    ):
+        bad = tmp_path / "bad.sj"
+        bad.write_text(broken_source)
+        files, victim = with_victim(tmp_path, [*app_files, bad])
+        real = {r.path: r.verdict for r in CheckerPool().check_paths(files)}
+        test_process = os.getpid()
+
+        def crash():
+            assert os.getpid() != test_process, "check ran in-process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        fault_victim(monkeypatch, crash)
+        results = CheckerPool(max_workers=2).check_paths(files)
+        wrong = {
+            r.path: r.verdict for r in results if r.verdict != real[r.path]
+        }
+        assert wrong.pop(str(victim)) == ERROR
+        # The pool charges a dead worker to the first unfinished file,
+        # which may be the one in flight beside the victim.
+        assert wrong in ({}, {str(files[0]): ERROR})
+
+    def test_hung_check_times_out_without_waiting_for_it(
+        self, monkeypatch, tmp_path, app_files
+    ):
+        files, victim = with_victim(tmp_path, app_files[:3])
+        release = multiprocessing.Event()
+        finished = multiprocessing.Event()
+
+        def hang():
+            release.wait(10.0)
+            finished.set()
+
+        fault_victim(monkeypatch, hang)
+        try:
+            results = CheckerPool(
+                max_workers=2, task_timeout=0.5
+            ).check_paths(files)
+            returned_first = not finished.is_set()
+        finally:
+            release.set()
+        verdicts = {r.path: r.verdict for r in results}
+        assert verdicts.pop(str(victim)) == TIMEOUT
+        assert set(verdicts.values()) == {PASS}
+        assert returned_first, "check_paths waited for the hung worker"
+        assert finished.wait(10.0), "the released worker never finished"
+
+    def test_raising_check_fails_only_its_file(
+        self, monkeypatch, tmp_path, app_files
+    ):
+        files, victim = with_victim(tmp_path, app_files[:3])
+
+        def recurse():
+            raise RecursionError("maximum recursion depth exceeded")
+
+        fault_victim(monkeypatch, recurse)
+        results = CheckerPool(max_workers=1).check_paths(files)
+        verdicts = {r.path: r.verdict for r in results}
+        assert verdicts.pop(str(victim)) == ERROR
+        assert set(verdicts.values()) == {PASS}
