@@ -375,9 +375,28 @@ def _merge_worker_traces(args: argparse.Namespace) -> None:
     )
 
 
-def _run_campaign(args: argparse.Namespace, apps: tuple) -> int:
+def _run_exported(runner, port: int):
+    """Run a campaign while ``--http-port`` serves the process-wide
+    registry (shard/trial counters) plus a liveness document, so a long
+    sweep is scrapable.  Only this path imports the exporter and its
+    ``http.server``.  A port that cannot be bound is a campaign error."""
     from repro.obs import global_registry
-    from repro.obs.exporter import ExporterError, maybe_exporter
+    from repro.obs.exporter import ExporterError, MetricsExporter
+    from repro.runtime.campaign import CampaignError
+
+    try:
+        with MetricsExporter(registry=global_registry(), port=port) as exporter:
+            print(
+                f"// observability plane on http://127.0.0.1:{exporter.port} "
+                f"(/metrics /healthz)",
+                file=sys.stderr,
+            )
+            return runner.run()
+    except ExporterError as exc:
+        raise CampaignError(str(exc)) from exc
+
+
+def _run_campaign(args: argparse.Namespace, apps: tuple) -> int:
     from repro.runtime.campaign import (
         CampaignConfig,
         CampaignError,
@@ -407,24 +426,9 @@ def _run_campaign(args: argparse.Namespace, apps: tuple) -> int:
             fresh=args.fresh,
             progress=lambda message: print(message, file=sys.stderr),
         )
-        # Long sweeps are scrapable while they run: --http-port serves
-        # the process-wide registry (shard/trial counters) plus a
-        # liveness document.  NullExporter when the flag is absent.
-        with maybe_exporter(
-            getattr(args, "http_port", None), registry=global_registry()
-        ) as exporter:
-            if exporter.enabled:
-                print(
-                    f"// observability plane on "
-                    f"http://127.0.0.1:{exporter.port} "
-                    f"(/metrics /healthz)",
-                    file=sys.stderr,
-                )
-            report = runner.run()
+        port = getattr(args, "http_port", None)
+        report = runner.run() if port is None else _run_exported(runner, port)
     except CampaignError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
-    except ExporterError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
     payload = protocol.campaign_payload(report)

@@ -68,24 +68,24 @@ def _root_class(graph: MethodFlowGraph, root: str) -> Optional[str]:
 def _find_candidate(graph: MethodFlowGraph) -> Optional[tuple[str, str]]:
     """A (renameable root, anchor root) pair where the renameable node is
     on a root-level cycle through the anchor's rooted nodes."""
-    succ: dict[FlowNode, set[FlowNode]] = {}
+    succ: dict[FlowNode, list[FlowNode]] = {}
+    pred: dict[FlowNode, list[FlowNode]] = {}
     for a, b in graph.edges:
-        succ.setdefault(a, set()).add(b)
+        succ.setdefault(a, []).append(b)
+        pred.setdefault(b, []).append(a)
 
-    def reachable_roots(start: list[FlowNode]) -> set[str]:
-        seen: set[FlowNode] = set()
+    def reachable_roots(start: list[FlowNode], links) -> set[str]:
+        """The roots of every node reachable from ``start`` along
+        ``links``, ``start`` included."""
+        seen = set(start)
         stack = list(start)
-        roots: set[str] = set()
         while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            roots.add(node[0])
-            stack.extend(succ.get(node, ()))
-        return roots
+            for node in links.get(stack.pop(), ()):
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+        return {node[0] for node in seen}
 
-    # roots that can reach each renameable node
     for root in sorted(graph.roots):
         info = graph.roots[root]
         if info.kind not in _RENAMEABLE_KINDS:
@@ -93,15 +93,13 @@ def _find_candidate(graph: MethodFlowGraph) -> Optional[tuple[str, str]]:
         rooted = [n for n in graph.nodes if n[0] == root]
         if not rooted:
             continue
-        forward = reachable_roots(rooted) - {root, PC_ROOT, RET_ROOT}
+        forward = reachable_roots(rooted, succ) - {root, PC_ROOT, RET_ROOT}
         if not forward:
             continue
-        backward = {
-            n[0]
-            for n in graph.nodes
-            if n[0] not in (root, PC_ROOT)
-            and root in reachable_roots([n])
-        }
+        # The roots that reach a rooted node: one walk back along the
+        # edges.  ``add_edge`` puts both endpoints in ``graph.nodes``, so
+        # every node it meets is a graph node.
+        backward = reachable_roots(rooted, pred) - {root, PC_ROOT}
         anchors = sorted(
             anchor
             for anchor in forward & backward

@@ -1,6 +1,16 @@
-"""Lexer for the sjava mini-language."""
+"""Lexer for the sjava mini-language.
+
+One compiled pattern is matched at each position; its named group says
+what the text is.  ``\\d`` and ``\\w`` are Unicode classes: a digit is a
+``str.isdecimal()`` character, which ``int()`` and ``float()`` accept,
+and a word is ``str.isalnum()`` characters or ``_``.  A word must also
+start with a letter or ``_``, which the pattern cannot say (``[^\\W\\d]``
+also admits ``²`` or ``Ⅻ``), so that is checked by hand.
+"""
 
 from __future__ import annotations
+
+import re
 
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 
@@ -14,201 +24,104 @@ class LexError(Exception):
         self.col = col
 
 
-_TWO_CHAR_OPS = {
-    "<=": TokenKind.LE,
-    ">=": TokenKind.GE,
-    "==": TokenKind.EQ,
-    "!=": TokenKind.NE,
-    "&&": TokenKind.AND,
-    "||": TokenKind.OR,
-    "+=": TokenKind.PLUS_ASSIGN,
-    "-=": TokenKind.MINUS_ASSIGN,
-    "*=": TokenKind.STAR_ASSIGN,
-    "/=": TokenKind.SLASH_ASSIGN,
-    "++": TokenKind.INCREMENT,
-    "--": TokenKind.DECREMENT,
+_OPERATORS = {
+    "<=": TokenKind.LE, ">=": TokenKind.GE, "==": TokenKind.EQ,
+    "!=": TokenKind.NE, "&&": TokenKind.AND, "||": TokenKind.OR,
+    "+=": TokenKind.PLUS_ASSIGN, "-=": TokenKind.MINUS_ASSIGN,
+    "*=": TokenKind.STAR_ASSIGN, "/=": TokenKind.SLASH_ASSIGN,
+    "++": TokenKind.INCREMENT, "--": TokenKind.DECREMENT,
+    "(": TokenKind.LPAREN, ")": TokenKind.RPAREN,
+    "{": TokenKind.LBRACE, "}": TokenKind.RBRACE,
+    "[": TokenKind.LBRACKET, "]": TokenKind.RBRACKET,
+    ",": TokenKind.COMMA, ";": TokenKind.SEMI, ":": TokenKind.COLON,
+    ".": TokenKind.DOT, "=": TokenKind.ASSIGN,
+    "+": TokenKind.PLUS, "-": TokenKind.MINUS, "*": TokenKind.STAR,
+    "/": TokenKind.SLASH, "%": TokenKind.PERCENT,
+    "<": TokenKind.LT, ">": TokenKind.GT, "!": TokenKind.NOT,
 }
 
-_ONE_CHAR_OPS = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMI,
-    ":": TokenKind.COLON,
-    ".": TokenKind.DOT,
-    "=": TokenKind.ASSIGN,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "!": TokenKind.NOT,
-}
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
+
+# A string body stops at a quote, at a backslash that starts no escape,
+# or at NUL, which a string reads as the end of input.
+_STRING_BODY = r'"[^"\\\0]*(?:\\[nt"\\r][^"\\\0]*)*'
+
+_TOKEN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[fF]?)"
+    r"|(?P<word>\w+)"
+    rf'|(?P<string>{_STRING_BODY}")'
+    rf"|(?P<open_string>{_STRING_BODY})"
+    r"|(?P<annotation>@\w*)"
+    r"|(?P<operator>"
+    + "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True)))
+    + ")",
+    re.DOTALL,
+)
+
+_ESCAPE = re.compile(r"\\(.)")
 
 
-class _Lexer:
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
-
-    def error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.col)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return "\0"
-
-    def advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def emit(self, kind: TokenKind, value: object, line: int, col: int) -> None:
-        self.tokens.append(Token(kind, value, line, col))
-
-    def run(self) -> list[Token]:
-        while self.pos < len(self.source):
-            char = self.peek()
-            if char in " \t\r\n":
-                self.advance()
-            elif char == "/" and self.peek(1) == "/":
-                self._skip_line_comment()
-            elif char == "/" and self.peek(1) == "*":
-                self._skip_block_comment()
-            elif char.isdigit():
-                self._lex_number()
-            elif char.isalpha() or char == "_":
-                self._lex_word()
-            elif char == '"':
-                self._lex_string()
-            elif char == "@":
-                self._lex_annotation()
-            else:
-                self._lex_operator()
-        self.emit(TokenKind.EOF, None, self.line, self.col)
-        return self.tokens
-
-    def _skip_line_comment(self) -> None:
-        while self.pos < len(self.source) and self.peek() != "\n":
-            self.advance()
-
-    def _skip_block_comment(self) -> None:
-        start_line, start_col = self.line, self.col
-        self.advance(2)
-        while self.pos < len(self.source):
-            if self.peek() == "*" and self.peek(1) == "/":
-                self.advance(2)
-                return
-            self.advance()
-        raise LexError("unterminated block comment", start_line, start_col)
-
-    def _lex_number(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self.peek().isdigit():
-            self.advance()
-        is_float = False
-        if self.peek() == "." and self.peek(1).isdigit():
-            is_float = True
-            self.advance()
-            while self.peek().isdigit():
-                self.advance()
-        if self.peek() in "eE" and (
-            self.peek(1).isdigit()
-            or (self.peek(1) in "+-" and self.peek(2).isdigit())
-        ):
-            is_float = True
-            self.advance()
-            if self.peek() in "+-":
-                self.advance()
-            while self.peek().isdigit():
-                self.advance()
-        text = self.source[start : self.pos]
-        if self.peek() in "fF":
-            is_float = True
-            self.advance()
-        if is_float:
-            self.emit(TokenKind.FLOAT_LIT, float(text), line, col)
-        else:
-            self.emit(TokenKind.INT_LIT, int(text), line, col)
-
-    def _lex_word(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self.peek().isalnum() or self.peek() == "_":
-            self.advance()
-        word = self.source[start : self.pos]
-        if word in KEYWORDS:
-            self.emit(TokenKind.KEYWORD, word, line, col)
-        else:
-            self.emit(TokenKind.IDENT, word, line, col)
-
-    def _lex_string(self) -> None:
-        line, col = self.line, self.col
-        self.advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            char = self.peek()
-            if char == "\0":
-                raise LexError("unterminated string literal", line, col)
-            if char == '"':
-                self.advance()
-                break
-            if char == "\\":
-                self.advance()
-                escape = self.peek()
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
-                if escape not in mapping:
-                    raise self.error(f"invalid escape sequence \\{escape}")
-                chars.append(mapping[escape])
-                self.advance()
-            else:
-                chars.append(char)
-                self.advance()
-        self.emit(TokenKind.STRING_LIT, "".join(chars), line, col)
-
-    def _lex_annotation(self) -> None:
-        line, col = self.line, self.col
-        self.advance()  # '@'
-        if not (self.peek().isalpha() or self.peek() == "_"):
-            raise self.error("expected annotation name after '@'")
-        start = self.pos
-        while self.peek().isalnum() or self.peek() == "_":
-            self.advance()
-        name = self.source[start : self.pos]
-        self.emit(TokenKind.ANNOTATION, name, line, col)
-
-    def _lex_operator(self) -> None:
-        line, col = self.line, self.col
-        two = self.source[self.pos : self.pos + 2]
-        if two in _TWO_CHAR_OPS:
-            self.emit(_TWO_CHAR_OPS[two], two, line, col)
-            self.advance(2)
-            return
-        one = self.peek()
-        if one in _ONE_CHAR_OPS:
-            self.emit(_ONE_CHAR_OPS[one], one, line, col)
-            self.advance()
-            return
-        raise self.error(f"unexpected character {one!r}")
+def _position(source: str, index: int) -> tuple[int, int]:
+    """The line and column of ``source[index]``."""
+    return source.count("\n", 0, index) + 1, index - source.rfind("\n", 0, index)
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source`` into a list of tokens ending with EOF."""
-    return _Lexer(source).run()
+    tokens: list[Token] = []
+    append = tokens.append
+    pos = 0
+    line, line_start = 1, 0  # ``line_start``: the index where the line starts
+    for found in _TOKEN.finditer(source):
+        if found.start() != pos:  # the pattern matches nothing at ``pos``
+            break
+        group = found.lastgroup
+        text = found.group()
+        col = pos - line_start + 1
+        if group == "word":
+            first = text[0]
+            if first != "_" and not first.isalpha():
+                raise LexError(f"unexpected character {first!r}", line, col)
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            append(Token(kind, text, line, col))
+        elif group == "skip" or group == "string":
+            if group == "string":
+                body = text[1:-1]
+                if "\\" in body:
+                    body = _ESCAPE.sub(lambda m: _ESCAPES[m.group(1)], body)
+                append(Token(TokenKind.STRING_LIT, body, line, col))
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rindex("\n") + 1
+        elif group == "operator":
+            append(Token(_OPERATORS[text], text, line, col))
+        elif group == "number":
+            if text.isdecimal():
+                append(Token(TokenKind.INT_LIT, int(text), line, col))
+            else:
+                value = float(text.rstrip("fF"))
+                append(Token(TokenKind.FLOAT_LIT, value, line, col))
+        elif group == "annotation":
+            name = text[1:]
+            if not (name[:1].isalpha() or name[:1] == "_"):
+                message = "expected annotation name after '@'"
+                raise LexError(message, line, col + 1)
+            append(Token(TokenKind.ANNOTATION, name, line, col))
+        elif group == "open_comment":
+            raise LexError("unterminated block comment", line, col)
+        else:  # open_string: ends at NUL, at the end, or at a bad escape
+            end = found.end()
+            if source[end : end + 1] != "\\":
+                raise LexError("unterminated string literal", line, col)
+            escape = source[end + 1 : end + 2] or "\0"  # NUL past the end
+            message = f"invalid escape sequence \\{escape}"
+            raise LexError(message, *_position(source, end + 1))
+        pos = found.end()
+    col = pos - line_start + 1
+    if pos < len(source):
+        raise LexError(f"unexpected character {source[pos]!r}", line, col)
+    append(Token(TokenKind.EOF, None, line, col))
+    return tokens

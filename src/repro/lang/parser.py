@@ -11,7 +11,7 @@ from typing import Optional
 
 from repro.lang import ast
 from repro.lang.lexer import tokenize
-from repro.lang.tokens import Token, TokenKind
+from repro.lang.tokens import BINARY_OPERATORS, Token, TokenKind
 
 
 class ParseError(Exception):
@@ -32,58 +32,40 @@ _ASSIGN_OPS = {
     TokenKind.SLASH_ASSIGN: "/=",
 }
 
-# Binary operator precedence levels, lowest first.
-_BINARY_LEVELS = [
-    {TokenKind.OR: "||"},
-    {TokenKind.AND: "&&"},
-    {TokenKind.EQ: "==", TokenKind.NE: "!="},
-    {
-        TokenKind.LT: "<",
-        TokenKind.GT: ">",
-        TokenKind.LE: "<=",
-        TokenKind.GE: ">=",
-    },
-    {TokenKind.PLUS: "+", TokenKind.MINUS: "-"},
-    {TokenKind.STAR: "*", TokenKind.SLASH: "/", TokenKind.PERCENT: "%"},
-]
-
-
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.token = tokens[0]  # the current token; every list ends in EOF
 
     # -- token helpers ------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self, offset: int) -> Token:
+        """The token ``offset`` places ahead, or EOF past the end."""
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
-    def at(self, kind: TokenKind, value: object = None) -> bool:
-        token = self.peek()
-        if token.kind is not kind:
-            return False
-        return value is None or token.value == value
+    def at(self, kind: TokenKind) -> bool:
+        return self.token.kind is kind
 
     def at_keyword(self, *words: str) -> bool:
-        token = self.peek()
+        token = self.token
         return token.kind is TokenKind.KEYWORD and token.value in words
 
     def advance(self) -> Token:
-        token = self.peek()
+        token = self.token
         if token.kind is not TokenKind.EOF:
             self.pos += 1
+            self.token = self.tokens[self.pos]
         return token
 
-    def expect(self, kind: TokenKind, value: object = None) -> Token:
-        token = self.peek()
-        if not self.at(kind, value):
-            want = value if value is not None else kind.name
-            raise ParseError(f"expected {want}, found {token.value!r}", token)
+    def expect(self, kind: TokenKind) -> Token:
+        token = self.token
+        if token.kind is not kind:
+            raise ParseError(f"expected {kind.name}, found {token.value!r}", token)
         return self.advance()
 
     def expect_keyword(self, word: str) -> Token:
-        token = self.peek()
+        token = self.token
         if not self.at_keyword(word):
             raise ParseError(f"expected '{word}', found {token.value!r}", token)
         return self.advance()
@@ -100,7 +82,7 @@ class _Parser:
             value: object = None
             if self.at(TokenKind.LPAREN):
                 self.advance()
-                arg = self.peek()
+                arg = self.token
                 if arg.kind is TokenKind.STRING_LIT:
                     value = arg.value
                     self.advance()
@@ -120,7 +102,7 @@ class _Parser:
     # -- types ----------------------------------------------------------
 
     def parse_type(self) -> ast.TypeNode:
-        token = self.peek()
+        token = self.token
         if token.kind is TokenKind.KEYWORD and token.value in _PRIM_TYPES:
             self.advance()
             base: ast.TypeNode = ast.PrimType(
@@ -140,7 +122,7 @@ class _Parser:
     # -- program / declarations ------------------------------------------
 
     def parse_program(self) -> ast.Program:
-        first = self.peek()
+        first = self.token
         classes: list[ast.ClassDecl] = []
         while not self.at(TokenKind.EOF):
             classes.append(self.parse_class())
@@ -259,7 +241,7 @@ class _Parser:
 
     def parse_stmt(self) -> ast.Stmt:
         annotations = self.parse_annotations()
-        token = self.peek()
+        token = self.token
 
         if token.kind is TokenKind.LBRACE:
             return self.parse_block()
@@ -300,7 +282,7 @@ class _Parser:
         return self.parse_expr_or_assign_stmt()
 
     def _stmt_starts_var_decl(self) -> bool:
-        token = self.peek()
+        token = self.token
         if token.kind is TokenKind.KEYWORD and token.value in _PRIM_TYPES:
             return True
         if token.kind is not TokenKind.IDENT:
@@ -365,7 +347,7 @@ class _Parser:
                 if init_annotations:
                     raise ParseError(
                         "annotations in a for-init require a declaration",
-                        self.peek(),
+                        self.token,
                     )
                 init = self.parse_simple_assign()
                 self.expect(TokenKind.SEMI)
@@ -391,9 +373,9 @@ class _Parser:
 
     def parse_simple_assign(self) -> ast.Stmt:
         """Parse an assignment / increment / call without trailing ';'."""
-        token = self.peek()
+        token = self.token
         expr = self.parse_unary()
-        if self.peek().kind in _ASSIGN_OPS:
+        if self.token.kind in _ASSIGN_OPS:
             op = _ASSIGN_OPS[self.advance().kind]
             value = self.parse_expr()
             self._check_lvalue(expr, token)
@@ -425,24 +407,22 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def parse_expr(self) -> ast.Expr:
-        return self._parse_binary(0)
-
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self.peek().kind in ops:
-            token = self.advance()
-            right = self._parse_binary(level + 1)
-            left = ast.Binary(
-                op=ops[token.kind], left=left, right=right, **self.pos_of(token)
-            )
-        return left
+    def parse_expr(self, min_precedence: int = 1) -> ast.Expr:
+        """Precedence climbing: fold binary operators that bind at least
+        as tightly as ``min_precedence``, left-associatively."""
+        left = self.parse_unary()
+        while True:
+            token = self.token
+            operator = BINARY_OPERATORS.get(token.kind)
+            if operator is None or operator[1] < min_precedence:
+                return left
+            self.advance()
+            op, precedence = operator
+            right = self.parse_expr(precedence + 1)
+            left = ast.Binary(op=op, left=left, right=right, **self.pos_of(token))
 
     def parse_unary(self) -> ast.Expr:
-        token = self.peek()
+        token = self.token
         if token.kind is TokenKind.MINUS:
             self.advance()
             return ast.Unary(op="-", operand=self.parse_unary(), **self.pos_of(token))
@@ -512,7 +492,7 @@ class _Parser:
         return args
 
     def parse_primary(self) -> ast.Expr:
-        token = self.peek()
+        token = self.token
         pos = self.pos_of(token)
         if token.kind is TokenKind.INT_LIT:
             self.advance()
@@ -553,7 +533,7 @@ class _Parser:
     def parse_new(self) -> ast.Expr:
         token = self.expect_keyword("new")
         pos = self.pos_of(token)
-        type_token = self.peek()
+        type_token = self.token
         if type_token.kind is TokenKind.KEYWORD and type_token.value in _PRIM_TYPES:
             self.advance()
             element: ast.TypeNode = ast.PrimType(

@@ -8,6 +8,7 @@ and verified by the SJava type checker.
 from __future__ import annotations
 
 from repro.lang import ast
+from repro.lang.tokens import BINARY_OPERATORS
 
 _INDENT = "  "
 
@@ -150,11 +151,7 @@ def _print_stmt_as_block(stmt: ast.Stmt, indent: str) -> str:
     return "{\n" + inner + "\n" + indent + "}"
 
 
-_PRECEDENCE = {
-    "||": 1, "&&": 2, "==": 3, "!=": 3,
-    "<": 4, ">": 4, "<=": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
-}
+_PRECEDENCE = dict(BINARY_OPERATORS.values())
 
 
 def print_expr(expr: ast.Expr, parent_prec: int = 0) -> str:

@@ -84,6 +84,21 @@ KEYWORDS = frozenset(
 )
 
 
+#: Binary operators: token kind -> (operator text, precedence).  A higher
+#: precedence binds tighter, and every level is left-associative.  The
+#: parser climbs this table and the printer parenthesizes by it.
+BINARY_OPERATORS = {
+    TokenKind.OR: ("||", 1),
+    TokenKind.AND: ("&&", 2),
+    TokenKind.EQ: ("==", 3), TokenKind.NE: ("!=", 3),
+    TokenKind.LT: ("<", 4), TokenKind.GT: (">", 4),
+    TokenKind.LE: ("<=", 4), TokenKind.GE: (">=", 4),
+    TokenKind.PLUS: ("+", 5), TokenKind.MINUS: ("-", 5),
+    TokenKind.STAR: ("*", 6), TokenKind.SLASH: ("/", 6),
+    TokenKind.PERCENT: ("%", 6),
+}
+
+
 @dataclass(frozen=True)
 class Token:
     """A single lexical token.

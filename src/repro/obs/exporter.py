@@ -17,10 +17,11 @@ thread and serves three read-only endpoints:
   ``events`` op.
 
 Attach points: ``repro serve --http-port`` and ``repro campaign
---http-port`` (long drives export the process-wide registry).  Like
-every obs layer, the off state is a null object —
-:func:`maybe_exporter` returns a :class:`NullExporter` when no port is
-configured, and a micro-benchmark pins its zero cost.
+--http-port`` (long drives export the process-wide registry).  A
+campaign without the flag never imports this module.  In the daemon the
+off state is a null object — :func:`maybe_exporter` returns a
+:class:`NullExporter` when no port is configured, and a micro-benchmark
+pins its zero cost.
 
 Binding defaults to ``127.0.0.1`` (the plane is observability, not an
 API; put a real reverse proxy in front to expose it).  ``port=0`` binds
@@ -271,9 +272,9 @@ class MetricsExporter:
 
 class NullExporter:
     """The disabled exporter: every lifecycle call is a no-op.  Servers
-    and campaign drivers hold one of these when no ``--http-port`` was
-    given, so the off state costs an attribute lookup and a call —
-    pinned by a micro-benchmark in ``tests/obs/test_propagate.py``."""
+    hold one of these when no ``--http-port`` was given, so the off
+    state costs an attribute lookup and a call — pinned by a
+    micro-benchmark in ``tests/obs/test_propagate.py``."""
 
     enabled = False
     port = None

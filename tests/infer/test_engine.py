@@ -1,11 +1,24 @@
 """Inference engine end-to-end tests (Sections 5.2–5.3, 6.3)."""
 
+import copy
+from typing import Optional
+from unittest import mock
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.apps import APP_NAMES, load_app
-from repro.infer import infer_annotations
+from repro.infer import cycles, infer_annotations
 from repro.infer.cycles import avoid_superfluous_cycles
-from repro.infer.value_flow import ValueFlowAnalysis
+from repro.infer.value_flow import (
+    PC_ROOT,
+    RET_ROOT,
+    FlowNode,
+    MethodFlowGraph,
+    RootInfo,
+    ValueFlowAnalysis,
+)
 from tests.conftest import analyze
 
 
@@ -45,6 +58,96 @@ class TestCycleAvoidance:
         graph = analysis.run()[("Main", "run")]
         renamed = avoid_superfluous_cycles(graph)
         assert "h" not in renamed
+
+
+def reference_find_candidate(
+    graph: MethodFlowGraph,
+) -> Optional[tuple[str, str]]:
+    """The quadratic search that ``cycles._find_candidate`` replaced: one
+    forward search per graph node for the roots that reach a candidate."""
+    succ: dict[FlowNode, set[FlowNode]] = {}
+    for a, b in graph.edges:
+        succ.setdefault(a, set()).add(b)
+
+    def reachable_roots(start: list[FlowNode]) -> set[str]:
+        seen: set[FlowNode] = set()
+        stack = list(start)
+        roots: set[str] = set()
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            roots.add(node[0])
+            stack.extend(succ.get(node, ()))
+        return roots
+
+    for root in sorted(graph.roots):
+        info = graph.roots[root]
+        if info.kind not in cycles._RENAMEABLE_KINDS:
+            continue
+        rooted = [n for n in graph.nodes if n[0] == root]
+        if not rooted:
+            continue
+        forward = reachable_roots(rooted) - {root, PC_ROOT, RET_ROOT}
+        if not forward:
+            continue
+        backward = {
+            n[0]
+            for n in graph.nodes
+            if n[0] not in (root, PC_ROOT)
+            and root in reachable_roots([n])
+        }
+        anchors = sorted(
+            anchor
+            for anchor in forward & backward
+            if cycles._is_object_root(graph, anchor)
+        )
+        if anchors:
+            return root, anchors[0]
+    return None
+
+
+#: Root name -> kind: every kind a flow graph holds.
+ROOT_KINDS = {
+    "this": "this", "p0": "param", "p1": "param",
+    "v0": "var", "v1": "var", "v2": "var",
+    "IL0": "iloc", "IL1": "iloc", PC_ROOT: "pc", RET_ROOT: "ret",
+}
+
+
+@st.composite
+def flow_graphs(draw) -> MethodFlowGraph:
+    graph = MethodFlowGraph(key=("C", "m"))
+    for name in draw(st.lists(
+        st.sampled_from(sorted(ROOT_KINDS)), min_size=2, unique=True,
+    )):
+        class_name = draw(st.sampled_from([None, "C", "D"]))
+        graph.roots[name] = RootInfo(ROOT_KINDS[name], class_name)
+    nodes = st.tuples(
+        st.sampled_from(sorted(graph.roots)),
+        st.sampled_from([(), ("f",), ("f", "g")]),
+    ).map(lambda parts: (parts[0], *parts[1]))
+    for node in draw(st.lists(nodes, max_size=4)):
+        graph.add_node(node)
+    for src, dst in draw(st.lists(st.tuples(nodes, nodes), min_size=4, max_size=40)):
+        graph.add_edge(src, dst)
+    return graph
+
+
+@given(flow_graphs())
+@settings(max_examples=300, deadline=None)
+def test_cycle_search_matches_the_quadratic_reference(graph):
+    reference = copy.deepcopy(graph)
+    renamed = avoid_superfluous_cycles(graph)
+    with mock.patch.object(cycles, "_find_candidate", reference_find_candidate):
+        expected = avoid_superfluous_cycles(reference)
+    assert renamed == expected
+    assert graph.nodes == reference.nodes
+    assert graph.edges == reference.edges
+    assert graph.fresh_elements == reference.fresh_elements
+    assert graph.fresh_value_class == reference.fresh_value_class
+    assert graph.roots == reference.roots
 
 
 class TestInferenceCorrectness:

@@ -1,10 +1,16 @@
-"""Lexer unit tests."""
+"""Lexer unit tests, and the differential test against the
+character-at-a-time reference lexer in ``reference_lexer.py``."""
+
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.apps import programs_dir
+from repro.apps.registry import strip_location_annotations
 from repro.lang.lexer import LexError, tokenize
 from repro.lang.tokens import TokenKind
+from tests.lang.reference_lexer import reference_tokenize
 
 
 def kinds(source: str) -> list[TokenKind]:
@@ -77,6 +83,11 @@ class TestBasicTokens:
         with pytest.raises(LexError):
             tokenize(r'"\q"')
 
+    def test_string_spans_lines(self):
+        tokens = tokenize('"a\nb" c')
+        assert tokens[0].value == "a\nb"
+        assert (tokens[1].line, tokens[1].col) == (2, 4)
+
 
 class TestOperators:
     @pytest.mark.parametrize(
@@ -116,6 +127,24 @@ class TestOperators:
     def test_unexpected_character(self):
         with pytest.raises(LexError):
             tokenize("a # b")
+
+
+class TestDigits:
+    """A digit is a ``str.isdecimal()`` character, which ``int()`` and
+    ``float()`` accept; ``str.isdigit()`` also admits ``²``."""
+
+    def test_non_decimal_digit_is_unexpected(self):
+        with pytest.raises(LexError, match=r"^1:9: unexpected character '²'$"):
+            tokenize("int x = ²;")
+
+    def test_exponent_needs_decimal_digits(self):
+        tokens = tokenize("1e²")
+        assert [(t.kind, t.value) for t in tokens[:-1]] == [
+            (TokenKind.INT_LIT, 1), (TokenKind.IDENT, "e²"),
+        ]
+
+    def test_other_decimal_digits_are_numbers(self):
+        assert values("١٢ ٣.٥") == [12, 3.5]
 
 
 class TestComments:
@@ -189,3 +218,51 @@ class TestProperties:
     def test_identifier_roundtrip(self, name):
         assert values(name) == [name]
         assert kinds(name) == [TokenKind.IDENT]
+
+
+# -- the reference lexer -------------------------------------------------
+
+def outcome(lex, source: str):
+    """Every token as (kind, value, line, col), or the LexError message."""
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in lex(source)]
+    except LexError as exc:
+        return str(exc)
+
+
+#: Characters that reach every branch of both lexers: string quotes,
+#: escapes and their ends, comment and operator starts, annotations,
+#: number parts, ASCII words, and Unicode letters (``é``, ``ß``), a
+#: decimal digit (``١``) and two numerics that are not (``²``, ``Ⅻ``).
+ALPHABET = list('"\\\n\r\0/*@.eEfF+- \tntr_=<&|#') + [
+    "a", "Z", "0", "7", "é", "ß", "١", "²", "Ⅻ",
+]
+
+
+class TestAgainstReference:
+    @given(st.text(alphabet=ALPHABET, max_size=40))
+    @settings(max_examples=2000, deadline=None)
+    def test_same_outcome_on_any_input(self, source):
+        assert outcome(tokenize, source) == outcome(reference_tokenize, source)
+
+    @pytest.mark.parametrize("source", [
+        '"a\\', '"a\\\n"', '"a\\\0"', '"\0"', '"ab', '"a\\q"',
+        "/* never ends", "/*/", "a /* x\n y", "@", "@1", "@\n", "@²x",
+        "1.", "1.e5", "1e+", "1e+5f", "7F", "²", "_²", "Ⅻ", "é1",
+        '"x\ny" ²', "a\r\nb", "\0",
+    ])
+    def test_same_outcome_on_edge_cases(self, source):
+        assert outcome(tokenize, source) == outcome(reference_tokenize, source)
+
+    @pytest.mark.parametrize("path", sorted(
+        [*programs_dir().glob("*.sj"),
+         *(Path(__file__).resolve().parents[2]
+           / "benchmarks/e2e/fixtures/rejected").glob("*.sj")],
+        key=lambda p: p.name,
+    ), ids=lambda p: p.name)
+    def test_same_tokens_on_bundled_programs(self, path):
+        source = path.read_text(encoding="utf-8")
+        for text in (source, strip_location_annotations(source)):
+            expected = outcome(reference_tokenize, text)
+            assert isinstance(expected, list)
+            assert outcome(tokenize, text) == expected

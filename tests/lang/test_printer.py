@@ -4,7 +4,7 @@ semantics (checked via the conventional type checker and the runtime)."""
 import pytest
 
 from repro.apps import APP_NAMES, load_app
-from repro.lang import parse_program, resolve_program, typecheck_program
+from repro.lang import ast, parse_program, resolve_program, typecheck_program
 from repro.lang.printer import print_expr, print_program, print_stmt
 
 
@@ -89,3 +89,34 @@ class TestFragments:
         program = parse_program("class T { int m() { return 1; } }")
         stmt = program.classes[0].methods[0].body.stmts[0]
         assert print_stmt(stmt) == "return 1;"
+
+
+# -- precedence ------------------------------------------------------------
+
+BINARY_OPS = ("||", "&&", "==", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/", "%")
+
+
+def parse_expr(text: str) -> ast.Expr:
+    program = parse_program(f"class T {{ void m() {{ x = {text}; }} }}")
+    return program.classes[0].methods[0].body.stmts[0].value
+
+
+def shape(expr: ast.Expr):
+    """The tree without source positions."""
+    if isinstance(expr, ast.Binary):
+        return (expr.op, shape(expr.left), shape(expr.right))
+    return expr.name
+
+
+@pytest.mark.parametrize("op2", BINARY_OPS)
+@pytest.mark.parametrize("op1", BINARY_OPS)
+def test_parser_and_printer_agree_on_precedence(op1, op2):
+    """``(a op1 b) op2 c`` and ``a op1 (b op2 c)`` print to text that
+    parses back to the same tree: the printer parenthesizes exactly
+    where the parser's precedence and left-associativity need it."""
+    a, b, c = (ast.VarRef(name=name) for name in "abc")
+    for tree in (
+        ast.Binary(op=op2, left=ast.Binary(op=op1, left=a, right=b), right=c),
+        ast.Binary(op=op1, left=a, right=ast.Binary(op=op2, left=b, right=c)),
+    ):
+        assert shape(parse_expr(print_expr(tree))) == shape(tree)

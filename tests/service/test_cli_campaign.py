@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 from repro.cli import main
 from repro.service import protocol
@@ -57,6 +58,20 @@ class TestCampaignCli:
     def test_unknown_app_is_a_usage_error(self, capsys):
         assert main(["campaign", "--apps", "toaster"]) == 2
         assert "toaster" in capsys.readouterr().err
+
+    def test_http_port_serves_while_the_campaign_runs(self, capsys):
+        assert main(ARGS + ["--http-port", "0", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert "observability plane on http://127.0.0.1:" in captured.err
+        assert json.loads(captured.out)["complete"] is True
+
+    def test_unbindable_http_port_is_a_campaign_error(self, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            assert main(ARGS + ["--http-port", str(port)]) == 2
+        assert "campaign error: cannot bind" in capsys.readouterr().err
 
 
 class TestCampaignDistributedTrace:

@@ -52,6 +52,15 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "front-end error" in capsys.readouterr().err
 
+    def test_non_decimal_digit_is_a_front_end_error(self, tmp_path, capsys):
+        # "²".isdigit() holds, but int("²") raises ValueError
+        path = tmp_path / "digit.sj"
+        path.write_text("class A { void m() { int x = ²; } }", encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "front-end error" in err
+        assert "1:30: unexpected character '²'" in err
+
 
 class TestInfer:
     def test_infer_emits_annotations(self, tmp_path, capsys):

@@ -79,11 +79,13 @@ CHECK_NEVER = (
 )
 
 #: What an injection run never runs: the checker, SInfer, the result
-#: cache and daemon, and the bench/report stack.
+#: cache and daemon, the bench/report stack, and (without
+#: ``--http-port``) the HTTP exporter.
 INJECTION_NEVER = (
     "repro.infer", "repro.core.checker",
     "repro.service.cache", "repro.service.server", "repro.service.client",
     "repro.obs.bench", "repro.obs.history", "repro.obs.report",
+    "repro.obs.exporter", "http.server",
 )
 
 
