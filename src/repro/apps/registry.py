@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from repro.lang.ast import Program
+from repro.lang.ast import LOCATION_ANNOTATIONS, Program
 from repro.lang.parser import parse_program
 from repro.lang.symtab import ProgramInfo, resolve_program
 from repro.lang.typecheck import typecheck_program
@@ -42,24 +42,10 @@ def all_app_names() -> tuple[str, ...]:
     """Every registered app, single-node then distributed."""
     return APP_NAMES + DIST_APP_NAMES
 
-#: Location annotations removed for the inference evaluation
-#: (Section 6.3.1: "we took the modified versions of the SJava benchmark
-#: and removed all of the location type annotations").  @TRUSTED,
-#: @DELEGATE and @MAXLOOP are semantic, not location, annotations and are
-#: preserved.
-_LOCATION_ANNOTATIONS = (
-    "LATTICE",
-    "METHODDEFAULT",
-    "LOC",
-    "THISLOC",
-    "RETURNLOC",
-    "PCLOC",
-    "GLOBALLOC",
-    "DELTA",
-)
 
 _STRIP_PATTERN = re.compile(
-    r"@(?:" + "|".join(_LOCATION_ANNOTATIONS) + r")\s*\(\s*\"[^\"]*\"\s*\)\s*"
+    r"@(?:" + "|".join(sorted(LOCATION_ANNOTATIONS))
+    + r")\s*\(\s*\"[^\"]*\"\s*\)\s*"
 )
 
 

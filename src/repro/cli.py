@@ -207,44 +207,38 @@ def _observed(args: argparse.Namespace, root_name: str, **attrs):
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from repro.core.checker import SJavaChecker, timed_check
+    from repro.core.checker import timed_check
     from repro.service import protocol
 
     with _observed(args, "repro.check", file=args.file):
+        source = Path(args.file).read_text(encoding="utf-8")
+        start = time.perf_counter()
+        report, timings = timed_check(source)
         if args.json:
-            source = Path(args.file).read_text(encoding="utf-8")
-            start = time.perf_counter()
-            report, timings = timed_check(source)
-            payload = protocol.check_payload(
+            print(protocol.dumps(protocol.check_payload(
                 report,
                 file=args.file,
                 elapsed_seconds=time.perf_counter() - start,
                 timings=timings,
-            )
-            print(protocol.dumps(payload))
-            return 0 if report.self_stabilizing else 1
-        info = _load(args.file)
-        report = SJavaChecker(info).run()
-        print(report.format())
-        return 0 if report.self_stabilizing else 1
+            )))
+        else:
+            print(report.format())
+    return 0 if report.self_stabilizing else 1
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    from repro.infer import infer_annotations
+    from repro.infer import timed_infer
     from repro.service import protocol
 
     with _observed(args, "repro.infer", file=args.file, mode=args.mode):
-        info = _load(args.file)
-        result = infer_annotations(
-            info, mode=args.mode, verify=not args.no_verify
+        result, timings = timed_infer(
+            Path(args.file).read_text(encoding="utf-8"),
+            mode=args.mode,
+            verify=not args.no_verify,
         )
     if args.json:
         payload = protocol.infer_payload(
-            result.summary_dict(),
-            file=args.file,
-            timings={
-                **result.phase_seconds, "total": result.elapsed_seconds
-            },
+            result.summary_dict(), file=args.file, timings=timings
         )
         print(protocol.dumps(payload))
         return 0 if result.check_report is None or result.verified else 1
@@ -254,7 +248,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     print(
         f"// inferred {summary.total_locations} locations, "
         f"{summary.total_paths} top-to-bottom paths, "
-        f"{result.elapsed_seconds:.3f}s",
+        f"{timings['total']:.3f}s",
         file=sys.stderr,
     )
     if result.check_report is not None:
@@ -267,14 +261,13 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _device_factory(args: argparse.Namespace):
-    from repro.runtime import SyntheticDevice
+    """Fresh devices for ``repro run`` and ``repro inject``: ``--seed``'s
+    synthetic inputs for ``--iterations`` iterations, keyed by iteration
+    like every campaign's and fabric's inputs."""
+    from repro.runtime.devices import IterationKeyedDevice, synthetic_inputs
 
-    def factory():
-        return SyntheticDevice(
-            seed=args.seed, limit=args.iterations * 64
-        )
-
-    return factory
+    generator = synthetic_inputs(args.seed)
+    return lambda: IterationKeyedDevice(generator, iterations=args.iterations)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -300,31 +293,42 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_inject(args: argparse.Namespace) -> int:
+def _inject_experiment(args: argparse.Namespace, info: ProgramInfo):
+    """``repro inject``'s experiment: the synthetic inputs under a
+    campaign's default step-budget watchdog."""
     from repro.runtime import RuntimeOptions, StabilizationExperiment
-    from repro.runtime.stabilization import recovery_histogram
+    from repro.runtime.stabilization import STEP_BUDGET_FACTOR
+
+    return StabilizationExperiment(
+        info,
+        _device_factory(args),
+        options=RuntimeOptions(
+            ignore_errors=True, max_iterations=args.iterations
+        ),
+        step_budget_factor=STEP_BUDGET_FACTOR,
+    )
+
+
+def cmd_inject(args: argparse.Namespace) -> int:
+    from collections import Counter
+
+    from repro.runtime.stabilization import (
+        DIVERGED, TIMEOUT, recovery_histogram, verdict_of,
+    )
 
     with _observed(args, "repro.inject", file=args.file,
                    trials=args.trials):
-        info = _load(args.file)
-        experiment = StabilizationExperiment(
-            info,
-            _device_factory(args),
-            options=RuntimeOptions(
-                ignore_errors=True, max_iterations=args.iterations
-            ),
-        )
+        experiment = _inject_experiment(args, _load(args.file))
         trials = experiment.run_trials(args.trials, seed=args.seed)
-    corrupted = [t for t in trials if t.corrupted_output]
-    recovered = [t for t in corrupted if not t.diverged]
-    diverged = len(corrupted) - len(recovered)
-    print(f"trials: {len(trials)}  corrupted: {len(corrupted)}  "
-          f"diverged: {diverged}")
-    histogram = recovery_histogram(recovered, bin_size=args.bin)
+    verdicts = Counter(map(verdict_of, trials))
+    corrupted = sum(trial.corrupted_output for trial in trials)
+    print(f"trials: {len(trials)}  corrupted: {corrupted}  "
+          f"diverged: {verdicts[DIVERGED]}  timeout: {verdicts[TIMEOUT]}")
+    histogram = recovery_histogram(trials, bin_size=args.bin)
     for bucket, count in histogram.items():
         print(f"  {bucket:5d}-{bucket + args.bin - 1:5d} samples: {count}")
     # A diverged trial falsifies stabilization — that is a failing result.
-    return 1 if diverged > 0 else 0
+    return 1 if verdicts[DIVERGED] > 0 else 0
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -628,7 +632,7 @@ def cmd_dist_run(args: argparse.Namespace) -> int:
             )
         if args.inject is not None:
             trial = experiment.trial_at(args.inject, seed=args.seed)
-            from repro.runtime.campaign import verdict_of
+            from repro.runtime.stabilization import verdict_of
 
             print(
                 f"site {trial.target_step} (node {trial.node}): "

@@ -16,21 +16,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-ANNOTATION_NAMES = frozenset(
-    {
-        "LATTICE",
-        "LOC",
-        "THISLOC",
-        "RETURNLOC",
-        "PCLOC",
-        "GLOBALLOC",
-        "METHODDEFAULT",
-        "DELTA",
-        "DELEGATE",
-        "MAXLOOP",
-        "TRUSTED",
-    }
-)
+from repro.lang.ast import LOCATION_ANNOTATIONS
+
+#: Those that give a location, Fig. 6.3's LOC column.
+_LOC_COLUMN = LOCATION_ANNOTATIONS - {"LATTICE", "METHODDEFAULT"}
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -210,7 +199,7 @@ class AnnotationCounts:
 
     def record(self, name: str) -> None:
         self.by_name[name] = self.by_name.get(name, 0) + 1
-        if name in ("LOC", "THISLOC", "RETURNLOC", "PCLOC", "GLOBALLOC", "DELTA"):
+        if name in _LOC_COLUMN:
             self.loc += 1
         elif name == "LATTICE":
             self.lattice += 1

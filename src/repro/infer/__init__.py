@@ -27,6 +27,9 @@ Pipeline:
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "engine": ("InferenceEngine", "InferenceResult", "infer_annotations"),
+    "engine": (
+        "InferenceEngine", "InferenceResult", "infer_annotations",
+        "timed_infer",
+    ),
     "metrics": ("LatticeMetrics", "count_paths", "lattice_metrics"),
 })

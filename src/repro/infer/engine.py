@@ -46,13 +46,10 @@ from repro.infer.value_flow import (
 )
 from repro.lang import ast
 from repro.lang.callgraph import MethodKey
+from repro.lang.parser import parse_program
 from repro.lang.printer import print_program
-from repro.lang.symtab import ProgramInfo
-
-_LOCATION_ANNOTATION_NAMES = frozenset(
-    {"LATTICE", "METHODDEFAULT", "LOC", "THISLOC", "RETURNLOC", "PCLOC",
-     "GLOBALLOC", "DELTA"}
-)
+from repro.lang.symtab import ProgramInfo, resolve_program
+from repro.lang.typecheck import typecheck_program
 
 
 @dataclass
@@ -228,7 +225,7 @@ class InferenceEngine:
     @staticmethod
     def _strip(annotations: list[ast.Annotation]) -> None:
         annotations[:] = [
-            a for a in annotations if a.name not in _LOCATION_ANNOTATION_NAMES
+            a for a in annotations if a.name not in ast.LOCATION_ANNOTATIONS
         ]
 
     def _emit_method(
@@ -320,3 +317,25 @@ def infer_annotations(
 ) -> InferenceResult:
     """Infer location annotations for a (typically stripped) program."""
     return InferenceEngine(info, mode=mode).run(verify=verify)
+
+
+def timed_infer(
+    source: str, mode: str = "sinfer", verify: bool = True
+) -> tuple[InferenceResult, dict]:
+    """:func:`infer_annotations` on source text, also returning its wall
+    times: the front end's ``parse``/``resolve``/``typecheck``, the
+    engine's ``phase_seconds`` and a ``total`` around the whole run.
+    Like :func:`repro.core.checker.timed_check`, each front-end pass
+    also opens a span on the installed tracer."""
+    start = time.perf_counter()
+    timings: dict[str, float] = {}
+    with timed_span("parse", timings):
+        program = parse_program(source)
+    with timed_span("resolve", timings):
+        info = resolve_program(program)
+    with timed_span("typecheck", timings):
+        typecheck_program(info)
+    result = infer_annotations(info, mode=mode, verify=verify)
+    timings.update(result.phase_seconds)
+    timings["total"] = time.perf_counter() - start
+    return result, timings

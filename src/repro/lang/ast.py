@@ -78,6 +78,16 @@ class Annotation(Node):
     value: Union[str, int, None] = None
 
 
+#: The location-type annotations: what stripping a program for the
+#: inference evaluation removes (Section 6.3.1) and what SInfer emits.
+#: @TRUSTED, @DELEGATE and @MAXLOOP are semantic, not location,
+#: annotations.
+LOCATION_ANNOTATIONS = frozenset({
+    "LATTICE", "METHODDEFAULT", "LOC", "THISLOC", "RETURNLOC", "PCLOC",
+    "GLOBALLOC", "DELTA",
+})
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------

@@ -158,7 +158,8 @@ def print_expr(expr: ast.Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, ast.IntLit):
         return str(expr.value)
     if isinstance(expr, ast.FloatLit):
-        return repr(expr.value)
+        # ``repr(inf)`` is an identifier; ``1e999`` lexes back to inf.
+        return "1e999" if expr.value == float("inf") else repr(expr.value)
     if isinstance(expr, ast.BoolLit):
         return "true" if expr.value else "false"
     if isinstance(expr, ast.StringLit):

@@ -132,19 +132,12 @@ def _check_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
 def _infer_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
     def build() -> Callable[[], dict]:
         from repro.apps.registry import app_source
-        from repro.infer import infer_annotations
-        from repro.lang import (
-            parse_program,
-            resolve_program,
-            typecheck_program,
-        )
+        from repro.infer import timed_infer
 
         source = app_source(app, annotated=False)
 
         def op() -> dict:
-            info = resolve_program(parse_program(source))
-            typecheck_program(info)
-            result = infer_annotations(info, mode="sinfer", verify=False)
+            result, _ = timed_infer(source, mode="sinfer", verify=False)
             return {"locations": result.summary.total_locations}
 
         return op
@@ -155,13 +148,15 @@ def _infer_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
 def _interpreter_scenario(app: str, suites: tuple[str, ...]) -> Scenario:
     def build() -> Callable[[], dict]:
         from repro.apps.registry import app_device_factory, load_app
-        from repro.runtime import Interpreter, RuntimeOptions
+        from repro.runtime import RuntimeOptions
+        from repro.runtime.compiler import CompiledRunner
 
         bundle = load_app(app)
         factory = app_device_factory(app)
 
         def op() -> dict:
-            interp = Interpreter(
+            # The production engine, not the tree-walking oracle.
+            interp = CompiledRunner(
                 bundle.info,
                 factory(),
                 options=RuntimeOptions(ignore_errors=True),

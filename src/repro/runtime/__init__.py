@@ -13,7 +13,7 @@ stabilization-experiment harness that measures recovery distances.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "devices": ("DeviceBus", "ScriptedDevice", "SyntheticDevice"),
+    "devices": ("DeviceBus", "ScriptedDevice", "synthetic_inputs"),
     "injection": ("ErrorInjector",),
     "interpreter": (
         "Interpreter", "RuntimeOptions", "SJavaRuntimeError",

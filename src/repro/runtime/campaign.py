@@ -50,18 +50,14 @@ from repro.chaos.injector import (
 from repro.obs import get_tracer, global_registry
 from repro.obs.events import get_event_log
 from repro.obs.propagate import shard_trace_payload, worker_traced
-from repro.runtime.stabilization import InjectionTrial
+from repro.runtime.stabilization import (
+    DIVERGED, MASKED, NOT_INJECTED, RECOVERED, STEP_BUDGET_FACTOR, TIMEOUT,
+    InjectionTrial, verdict_of,
+)
 from repro.service.pool import ResilientPool, TaskFailure
 
 #: Bump when the manifest or report layout changes.
 CAMPAIGN_SCHEMA = 1
-
-#: Trial verdicts.
-MASKED = "masked"
-RECOVERED = "recovered"
-DIVERGED = "diverged"
-TIMEOUT = "timeout"
-NOT_INJECTED = "not-injected"
 
 MODES = ("exhaustive", "stratified", "uniform")
 
@@ -98,7 +94,7 @@ class CampaignConfig:
     #: Watchdog: absolute step cap per injected run, or a multiple of
     #: the app's clean-run step count (the default).
     step_budget: Optional[int] = None
-    step_budget_factor: Optional[int] = 64
+    step_budget_factor: Optional[int] = STEP_BUDGET_FACTOR
     #: Recovery-histogram bin width, in output samples.
     histogram_bin: int = 8
 
@@ -232,18 +228,6 @@ def plan_shards(
 # ---------------------------------------------------------------------------
 # The worker (module-level: must be picklable)
 # ---------------------------------------------------------------------------
-
-
-def verdict_of(trial: InjectionTrial) -> str:
-    if trial.timed_out:
-        return TIMEOUT
-    if trial.injection_iteration is None:
-        return NOT_INJECTED
-    if trial.diverged:
-        return DIVERGED
-    if trial.recovery_samples is not None:
-        return RECOVERED
-    return MASKED
 
 
 def trial_record(app: str, trial: InjectionTrial) -> dict:

@@ -3,21 +3,27 @@
 ``Device.readX()`` calls in sjava programs pull values from a
 :class:`DeviceBus`.  Two implementations:
 
+* :class:`IterationKeyedDevice` — values are a pure function of the
+  iteration and the read's position in it, the paper's input model.
+  Every program the tools run reads through one: the bundled apps with
+  their registered generators, fabric nodes with their views, and
+  ``repro run``/``repro inject`` with :func:`synthetic_inputs`;
 * :class:`ScriptedDevice` — fixed per-function value sequences, for
-  deterministic tests and replayable experiments;
-* :class:`SyntheticDevice` — deterministic pseudo-random generators per
-  function, seeded, for long experiment runs.
+  tests that need a plain stream.
 
-When a scripted stream runs dry the device raises :class:`InputExhausted`,
+When an input stream runs dry the device raises :class:`InputExhausted`,
 which the interpreter turns into a clean end of the event loop — the
 paper's programs run for as long as input frames arrive.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-import random
-from typing import Callable, Optional
+from typing import Callable
+
+from repro.lang.builtins import DEVICE_FUNCTIONS
+from repro.lang.types import FLOAT
 
 
 class InputExhausted(Exception):
@@ -25,21 +31,10 @@ class InputExhausted(Exception):
 
 
 class DeviceBus:
-    """Base device: every read raises unless a source is registered."""
-
-    def __init__(self) -> None:
-        self._sources: dict[str, Callable[[], object]] = {}
-        self.reads = 0
-
-    def register(self, name: str, source: Callable[[], object]) -> None:
-        self._sources[name] = source
+    """What an engine reads ``Device.readX()`` values from."""
 
     def read(self, name: str) -> object:
-        self.reads += 1
-        source = self._sources.get(name)
-        if source is None:
-            raise InputExhausted(f"no input source for Device.{name}")
-        return source()
+        raise NotImplementedError
 
 
 class ScriptedDevice(DeviceBus):
@@ -49,58 +44,17 @@ class ScriptedDevice(DeviceBus):
     """
 
     def __init__(self, streams: dict[str, list]) -> None:
-        super().__init__()
-        self.streams = {name: list(values) for name, values in streams.items()}
-        self._cursors = {name: 0 for name in streams}
-        for name in streams:
-            self.register(name, self._make_reader(name))
-
-    def _make_reader(self, name: str) -> Callable[[], object]:
-        def reader() -> object:
-            cursor = self._cursors[name]
-            values = self.streams[name]
-            if cursor >= len(values):
-                raise InputExhausted(f"Device.{name} stream exhausted")
-            self._cursors[name] = cursor + 1
-            return values[cursor]
-
-        return reader
-
-
-class SyntheticDevice(DeviceBus):
-    """Deterministic pseudo-random inputs with realistic shapes:
-
-    * int readers produce small non-negative sensor-like values;
-    * float readers produce smooth band-limited signals (sums of
-      sinusoids plus seeded noise), so decoder-style programs see
-      plausible waveforms.
-    """
-
-    def __init__(self, seed: int = 0, limit: Optional[int] = None) -> None:
-        super().__init__()
-        self.rng = random.Random(seed)
-        self.limit = limit
-        self._count = 0
-        self._phase: dict[str, int] = {}
+        self._streams = {
+            name: iter(tuple(values)) for name, values in streams.items()
+        }
 
     def read(self, name: str) -> object:
-        if self.limit is not None and self._count >= self.limit:
-            raise InputExhausted("synthetic input limit reached")
-        self._count += 1
-        self.reads += 1
-        source = self._sources.get(name)
-        if source is not None:
-            return source()
-        return self._default_read(name)
-
-    def _default_read(self, name: str) -> object:
-        tick = self._phase.get(name, 0)
-        self._phase[name] = tick + 1
-        if name in ("readTemp", "readHumidity", "readFloat", "readSample"):
-            base = math.sin(tick * 0.21) + 0.5 * math.sin(tick * 0.043 + 1.0)
-            return base + self.rng.uniform(-0.05, 0.05)
-        # int-like sensors
-        return self.rng.randint(0, 15)
+        try:
+            return next(self._streams[name])
+        except KeyError:
+            raise InputExhausted(f"no input source for Device.{name}") from None
+        except StopIteration:
+            raise InputExhausted(f"Device.{name} stream exhausted") from None
 
 
 class IterationKeyedDevice(DeviceBus):
@@ -122,7 +76,6 @@ class IterationKeyedDevice(DeviceBus):
         generator: Callable[[str, int, int], object],
         iterations: int,
     ) -> None:
-        super().__init__()
         self.generator = generator
         self.iterations = iterations
         self.iteration = 0
@@ -145,10 +98,42 @@ class IterationKeyedDevice(DeviceBus):
     def read(self, name: str) -> object:
         if self.iteration >= self.iterations:
             raise InputExhausted("input stream complete")
-        self.reads += 1
         index = self._index_in_iteration.get(name, 0)
         self._index_in_iteration[name] = index + 1
         return self.generator(name, self.iteration, index)
+
+
+#: Readers that ``DEVICE_FUNCTIONS`` declares ``float``.
+_FLOAT_READERS = frozenset(
+    name for name, sig in DEVICE_FUNCTIONS.items() if sig.check([]) == FLOAT
+)
+
+
+def synthetic_inputs(seed: int) -> Callable[[str, int, int], object]:
+    """An :class:`IterationKeyedDevice` generator for any program: each
+    value is a pure function of (``seed``, Device function, iteration,
+    read index), so a fault that changes one iteration's reads leaves
+    every later iteration's inputs as they were.
+
+    Float readers produce a smooth band-limited signal (two sinusoids
+    plus seeded noise), so decoder-style programs see plausible
+    waveforms; the ``k``-th read of an iteration sits ``k`` ticks after
+    its first.  Every other reader produces a small sensor-like int
+    from 0 to 15.
+    """
+
+    def generator(name: str, iteration: int, index: int) -> object:
+        key = f"{seed}:{name}:{iteration}:{index}".encode()
+        draw = int.from_bytes(
+            hashlib.blake2b(key, digest_size=8).digest(), "big"
+        )
+        if name not in _FLOAT_READERS:
+            return draw % 16
+        tick = iteration + index
+        base = math.sin(tick * 0.21) + 0.5 * math.sin(tick * 0.043 + 1.0)
+        return base + 0.1 * (draw / 2**64) - 0.05
+
+    return generator
 
 
 class OutputSink:

@@ -77,6 +77,31 @@ class InjectionTrial:
     node_digests: Optional[list[str]] = None
 
 
+#: Trial verdicts (:func:`verdict_of`).
+MASKED = "masked"
+RECOVERED = "recovered"
+DIVERGED = "diverged"
+TIMEOUT = "timeout"
+NOT_INJECTED = "not-injected"
+
+#: The step-budget watchdog campaigns and ``repro inject`` run under by
+#: default: an injected run may use this multiple of the clean run's
+#: steps before it counts as a timeout.
+STEP_BUDGET_FACTOR = 64
+
+
+def verdict_of(trial: InjectionTrial) -> str:
+    if trial.timed_out:
+        return TIMEOUT
+    if trial.injection_iteration is None:
+        return NOT_INJECTED
+    if trial.diverged:
+        return DIVERGED
+    if trial.recovery_samples is not None:
+        return RECOVERED
+    return MASKED
+
+
 def recovery_distance(
     reference_groups: list[list[object]],
     faulty_groups: list[list[object]],

@@ -48,10 +48,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from repro.infer import infer_annotations
-from repro.lang import (
-    FRONT_END_ERRORS, parse_program, resolve_program, typecheck_program,
-)
+from repro.infer import timed_infer
+from repro.lang import FRONT_END_ERRORS
 from repro.obs import (
     EventBuffer,
     EventLog,
@@ -60,7 +58,6 @@ from repro.obs import (
     Tracer,
     get_tracer,
     set_tracer,
-    timed_span,
 )
 from repro.chaos.injector import get_chaos
 from repro.obs.events import EventError, get_event_log, set_event_log
@@ -378,21 +375,9 @@ class ReproServer(
         mode = str(request.get("mode", "sinfer"))
         if mode not in ("sinfer", "naive"):
             return self._error(request_id, "infer", f"unknown mode {mode!r}")
-        start = time.perf_counter()
-        timings: dict[str, float] = {}
-        with timed_span("parse", timings):
-            program = parse_program(source)
-        with timed_span("resolve", timings):
-            info = resolve_program(program)
-        with timed_span("typecheck", timings):
-            typecheck_program(info)
-        result = infer_annotations(
-            info, mode=mode, verify=bool(request.get("verify", True))
+        result, timings = timed_infer(
+            source, mode=mode, verify=bool(request.get("verify", True))
         )
-        # Span-derived per-phase timings: front end + the engine's
-        # pipeline phases (value_flow … verify), plus the old total.
-        timings.update(result.phase_seconds)
-        timings["total"] = time.perf_counter() - start
         payload = protocol.infer_payload(
             result.summary_dict(), file=name, timings=timings
         )

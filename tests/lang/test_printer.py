@@ -79,6 +79,30 @@ class TestRoundTrip:
         assert print_program(program) == printed
 
 
+def literal_shape(expr: ast.Expr):
+    """A signed literal without source positions."""
+    if isinstance(expr, ast.Unary):
+        return expr.op, literal_shape(expr.operand)
+    return type(expr).__name__, expr.value
+
+
+class TestOverflowingFloatLiteral:
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    def test_round_trips_to_an_equal_ast(self, literal):
+        """A literal that overflows to inf must print as one that lexes
+        back to inf, not as ``inf``, an unknown identifier."""
+        program = parse_program(
+            f"class T {{ float f; void m() {{ f = {literal}; }} }}"
+        )
+        again = parse_program(print_program(program))
+        typecheck_program(resolve_program(again))
+
+        def value(tree):
+            return tree.classes[0].methods[0].body.stmts[0].value
+
+        assert literal_shape(value(again)) == literal_shape(value(program))
+
+
 class TestFragments:
     def test_print_expr_smoke(self):
         program = parse_program("class T { void m(int a) { int x = a * 2 + 1; } }")

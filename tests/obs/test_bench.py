@@ -134,6 +134,22 @@ class TestRunner:
         with pytest.raises(BenchError, match="unknown suite"):
             scenario_names("medium")
 
+    def test_interpreter_step_times_the_production_engine(self, monkeypatch):
+        from repro.runtime.interpreter import Interpreter
+
+        engines = []
+        run = Interpreter.run
+
+        def spy(engine, *args, **kwargs):
+            engines.append(type(engine).__name__)
+            return run(engine, *args, **kwargs)
+
+        monkeypatch.setattr(Interpreter, "run", spy)
+        scenario = get_scenario("interpreter-step/wind_sensor")
+        assert scenario.kind == "interpreter-step"
+        scenario.build()()
+        assert engines == ["CompiledRunner"]
+
     def test_small_suite_is_subset_of_full(self):
         small, full = scenario_names("small"), scenario_names("full")
         assert set(small) < set(full)

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.lang import types as st
+from repro.lang.builtins import DEVICE_FUNCTIONS
 from repro.runtime.devices import (
-    DeviceBus,
     InputExhausted,
     IterationKeyedDevice,
     OutputSink,
     ScriptedDevice,
-    SyntheticDevice,
+    synthetic_inputs,
 )
 
 
@@ -68,26 +69,48 @@ class TestIterationKeyedDevice:
             device.read("x")
 
 
+def synthetic_device(seed, iterations=20):
+    """The device ``repro run`` and ``repro inject`` read from."""
+    return IterationKeyedDevice(synthetic_inputs(seed), iterations=iterations)
+
+
+def read_iterations(device, name, iterations, reads=1):
+    values = []
+    for iteration in range(iterations):
+        device.begin_iteration(iteration)
+        values += [device.read(name) for _ in range(reads)]
+    return values
+
+
 class TestSyntheticDevice:
     def test_deterministic_per_seed(self):
-        first = SyntheticDevice(seed=9)
-        second = SyntheticDevice(seed=9)
-        values_a = [first.read("readTemp") for _ in range(5)]
-        values_b = [second.read("readTemp") for _ in range(5)]
+        values_a = read_iterations(synthetic_device(9), "readTemp", 5, 2)
+        values_b = read_iterations(synthetic_device(9), "readTemp", 5, 2)
         assert values_a == values_b
+        assert values_a != read_iterations(synthetic_device(10), "readTemp", 5, 2)
 
     def test_int_sensors_in_range(self):
-        device = SyntheticDevice(seed=1)
-        for _ in range(20):
-            value = device.read("readSonar")
-            assert 0 <= value <= 15
+        values = read_iterations(synthetic_device(1), "readSonar", 20)
+        assert set(values) <= set(range(16))
+        assert len(set(values)) > 8
 
-    def test_limit(self):
-        device = SyntheticDevice(seed=0, limit=2)
-        device.read("readTemp")
-        device.read("readTemp")
-        with pytest.raises(InputExhausted):
-            device.read("readTemp")
+    @pytest.mark.parametrize("name", sorted(DEVICE_FUNCTIONS))
+    def test_value_type_is_the_declared_type(self, name):
+        declared = DEVICE_FUNCTIONS[name].check([])
+        for value in read_iterations(synthetic_device(0), name, 3, 2):
+            assert type(value) is (float if declared == st.FLOAT else int)
+
+    def test_extra_reads_do_not_shift_later_iterations(self):
+        def next_iteration(extra):
+            device = synthetic_device(5)
+            device.begin_iteration(0)
+            for _ in range(2 + extra):
+                device.read("readInt")
+                device.read("readScale")
+            device.begin_iteration(1)
+            return [device.read(name) for name in ("readInt", "readScale") * 3]
+
+        assert next_iteration(extra=1) == next_iteration(extra=0)
 
 
 class TestOutputSink:

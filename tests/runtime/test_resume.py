@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.apps import resolve_experiment
 from repro.obs import RingBufferSink, Tracer, installed_tracer
 from repro.runtime.campaign import trial_record
-from repro.runtime.devices import IterationKeyedDevice, SyntheticDevice
+from repro.runtime.devices import IterationKeyedDevice, ScriptedDevice
 from repro.runtime.interpreter import Interpreter, RuntimeOptions, _Frame
 from repro.runtime.stabilization import (
     Boundary,
@@ -202,9 +202,10 @@ class TestFullRunFallbacks:
             experiment_of(EMITS_OBJECT, lambda name, it, k: it % 3)
         )
 
-    def test_synthetic_device(self):
+    def test_stream_device(self):
         self.assert_full_runs(StabilizationExperiment(
-            analyze(ECHO), lambda: SyntheticDevice(seed=4, limit=10),
+            analyze(ECHO),
+            lambda: ScriptedDevice({"readFloat": [it * 0.5 for it in range(10)]}),
         ))
 
     def test_oracle_engine_records_no_trace(self):

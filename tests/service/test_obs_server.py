@@ -8,6 +8,7 @@ tree — no interleaving).
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -99,6 +100,26 @@ class TestPerOpTimings:
         } <= set(timings)
         phase_sum = sum(v for k, v in timings.items() if k != "total")
         assert timings["total"] >= phase_sum * 0.5
+
+    def test_cli_and_daemon_time_infer_alike(
+        self, server, wind_source, tmp_path, capsys
+    ):
+        """One timed entry: the same keys from ``repro infer --json``
+        and the daemon, each with a total that covers its parts."""
+        from repro.apps import strip_location_annotations
+        from repro.cli import main
+
+        stripped = strip_location_annotations(wind_source)
+        path = tmp_path / "stripped.sj"
+        path.write_text(stripped)
+        assert main(["infer", str(path), "--json"]) == 0
+        cli = json.loads(capsys.readouterr().out)["timings"]
+        with ReproClient(server.socket_path) as client:
+            daemon = client.infer(source=stripped)["timings"]
+        assert set(cli) == set(daemon)
+        for timings in (cli, daemon):
+            parts = sum(v for k, v in timings.items() if k != "total")
+            assert timings["total"] >= parts
 
     def test_cached_check_reports_lookup_timing(self, server, wind_source):
         with ReproClient(server.socket_path) as client:

@@ -1,14 +1,39 @@
 """CLI tests."""
 
+import re
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 APP_DIR = Path(__file__).resolve().parents[1] / "src/repro/apps/programs"
 WIND = str(APP_DIR / "wind_sensor.sj")
 WEATHER = str(APP_DIR / "weather_index.sj")
+MP3 = str(APP_DIR / "mp3_decoder.sj")
+
+#: SInfer's annotation of a loop that sums four reads; the checker
+#: accepts it.  A fault on ``i`` changes how many values an iteration
+#: reads.
+SUMMER = '''
+@LATTICE("total")
+class Summer {
+  @LOC("total") int total;
+  @LATTICE("IL1_run<PC,s<IL1_run,this<s,IL1_run*,s*")
+  @THISLOC("this")
+  @PCLOC("PC")
+  void run() {
+    SSJAVA:
+    while (true) {
+      @LOC("s") int s = 0;
+      for (@LOC("IL1_run") int i = 0; i < 4; i += 1) { s = s + Device.readInt(); }
+      this.total = s;
+      SJ.emit(this.total);
+    }
+  }
+}
+'''
 
 
 @pytest.fixture
@@ -73,6 +98,25 @@ class TestInfer:
         assert "@LATTICE(" in captured.out
         assert "verified" in captured.err
 
+    def test_infer_verifies_an_overflowing_float_literal(self, tmp_path, capsys):
+        """SInfer's verify step re-parses the program it printed."""
+        path = tmp_path / "big.sj"
+        path.write_text('''
+        class Main {
+          float f;
+          void run() {
+            SSJAVA:
+            while (true) {
+              float v = Device.readFloat() + 1e999;
+              f = v;
+              SJ.emit(f);
+            }
+          }
+        }
+        ''')
+        assert main(["infer", str(path), "--quiet"]) == 0
+        assert "// checker: verified" in capsys.readouterr().err
+
     def test_infer_naive_mode(self, tmp_path, capsys):
         stripped = tmp_path / "stripped.sj"
         from repro.apps import app_source
@@ -82,12 +126,65 @@ class TestInfer:
         assert "@LATTICE" not in capsys.readouterr().out
 
 
+def inject_experiment(path, *argv):
+    """The experiment ``repro inject PATH ARGV...`` runs."""
+    args = cli.build_parser().parse_args(["inject", path, *argv])
+    return cli._inject_experiment(args, cli._load(path))
+
+
 class TestRunAndInject:
     def test_run_produces_output(self, capsys):
         assert main(["run", WEATHER, "--iterations", "5"]) == 0
         captured = capsys.readouterr()
         assert len(captured.out.strip().splitlines()) == 5
         assert "5 iterations" in captured.err
+
+    def test_run_reads_floats_from_float_readers(self, tmp_path, capsys):
+        path = tmp_path / "scale.sj"
+        path.write_text('''
+        class Main {
+          void run() {
+            SSJAVA:
+            while (true) {
+              float scale = Device.readScale();
+              SJ.emit(scale / 2);
+            }
+          }
+        }
+        ''')
+        assert main(["run", str(path), "--iterations", "6"]) == 0
+        values = [float(v) for v in capsys.readouterr().out.split()]
+        assert len(values) == 6
+        assert not all(value.is_integer() for value in values)
+
+    def test_checked_program_diverges_only_in_its_final_iteration(
+        self, tmp_path
+    ):
+        """Inputs keyed by iteration: a fault that changes one
+        iteration's read count leaves later inputs alone, so a trial
+        injected before the final iteration recovers or times out."""
+        path = tmp_path / "summer.sj"
+        path.write_text(SUMMER)
+        assert main(["check", str(path)]) == 0
+        experiment = inject_experiment(str(path), "--iterations", "8")
+        trials = [
+            experiment.trial_at(site, seed=site)
+            for site in range(experiment.total_steps())
+        ]
+        diverged = {t.injection_iteration for t in trials if t.diverged}
+        assert diverged <= {7}
+        assert any(t.timed_out for t in trials)
+
+    def test_inject_resumes_and_reports_timeouts(self, capsys):
+        experiment = inject_experiment(MP3, "--iterations", "10")
+        assert experiment.reference_trace() is not None
+        code = main(["inject", MP3, "--trials", "4", "--iterations", "10"])
+        summary = re.fullmatch(
+            r"trials: 4  corrupted: \d+  diverged: (\d+)  timeout: \d+",
+            capsys.readouterr().out.splitlines()[0],
+        )
+        assert summary is not None
+        assert code == (1 if int(summary.group(1)) else 0)
 
     def test_inject_reports_histogram(self, capsys):
         assert main([

@@ -89,6 +89,15 @@ INJECTION_NEVER = (
 )
 
 
+#: What a serial trial command (``repro inject``, ``repro dist run
+#: --inject``) never runs besides: the campaign driver, its process pool
+#: and its chaos hooks.
+SERIAL_NEVER = INJECTION_NEVER + (
+    "repro.runtime.campaign", "repro.service", "repro.chaos",
+    "concurrent.futures", "multiprocessing",
+)
+
+
 def matching(modules: list[str], prefixes: tuple[str, ...]) -> list[str]:
     return [
         name for name in modules
@@ -104,7 +113,12 @@ def matching(modules: list[str], prefixes: tuple[str, ...]) -> list[str]:
     pytest.param(
         ["dist", "run", "--app", "herman_bit", "--inject", "5",
          "--seed", "900"],
-        INJECTION_NEVER, id="dist-run",
+        SERIAL_NEVER, id="dist-run",
+    ),
+    pytest.param(
+        ["inject", str(programs_dir() / "wind_sensor.sj"), "--trials", "2",
+         "--iterations", "8"],
+        SERIAL_NEVER, id="inject",
     ),
     pytest.param(
         ["campaign", "--apps", "wind_sensor", "--trials", "16",
