@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-full bench-trend profile-smoke mem-smoke \
+.PHONY: test bench bench-full profile-smoke mem-smoke \
         examples check-apps batch-check clean
 
 test:
@@ -13,10 +13,6 @@ bench:
 
 bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Perf trajectory over the checked-in bench history (docs/BENCHMARKS.md).
-bench-trend:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench trend
 
 # Profiler smoke: the NullProfiler overhead pin plus a real sampled run
 # whose payload must pass validate_profile (docs/BENCHMARKS.md).

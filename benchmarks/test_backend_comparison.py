@@ -14,9 +14,7 @@ from repro.apps import app_device_factory, load_app
 from repro.runtime import Interpreter, RuntimeOptions
 from repro.runtime.compiler import CompiledRunner
 
-from repro.obs.bench import scenario_result_from_samples
-
-from .conftest import write_bench_results, write_result
+from .conftest import write_result
 
 FRAMES = 40
 
@@ -63,14 +61,4 @@ def test_backend_speedup_report(benchmark):
         f"  speedup: {interp / compiled:.2f}x",
     ]
     write_result("backend_comparison.txt", "\n".join(lines))
-    write_bench_results("backend_comparison", [
-        scenario_result_from_samples(
-            "paper/backend_interpreter", "interpreter-step", interp_times,
-            counters={"frames": FRAMES},
-        ),
-        scenario_result_from_samples(
-            "paper/backend_compiled", "interpreter-step", compiled_times,
-            counters={"frames": FRAMES},
-        ),
-    ])
     assert compiled <= interp * 1.2

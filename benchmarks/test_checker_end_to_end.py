@@ -8,7 +8,7 @@ from __future__ import annotations
 from repro.apps import APP_NAMES, app_source
 from repro.core.checker import check_program
 
-from .conftest import write_bench_result, write_result
+from .conftest import write_result
 
 
 def check_all() -> dict[str, bool]:
@@ -24,12 +24,6 @@ def test_checker_end_to_end(benchmark):
     for name, ok in results.items():
         lines.append(f"  {name:16s} self-stabilizing: {ok}")
     write_result("checker_end_to_end.txt", "\n".join(lines))
-    write_bench_result(
-        "checker_end_to_end",
-        kind="check",
-        benchmark=benchmark,
-        counters={"apps": len(results)},
-    )
     assert all(results.values())
 
 

@@ -15,7 +15,7 @@ from repro.apps import app_device_factory, load_app
 from repro.runtime import RuntimeOptions, StabilizationExperiment
 from repro.runtime.stabilization import recovery_histogram
 
-from .conftest import write_bench_result, write_result
+from .conftest import write_result
 
 SAMPLES_PER_FRAME = 16
 
@@ -69,12 +69,6 @@ def test_fig_6_1_recovery_distribution(benchmark, scale):
         lines.append(f"  {bucket:4d}-{bucket + SAMPLES_PER_FRAME - 1:4d}: "
                      f"{count:4d} {bar}")
     write_result("fig_6_1_mp3_distribution.txt", "\n".join(lines))
-    write_bench_result(
-        "fig_6_1_mp3_distribution",
-        kind="campaign-shard",
-        benchmark=benchmark,
-        counters={"trials": len(trials), "corrupted": len(corrupted)},
-    )
 
     # shape assertions: every observable fault recovers, within 3 frames
     assert corrupted

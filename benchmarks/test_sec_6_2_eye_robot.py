@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.apps import app_device_factory, load_app
 from repro.runtime import RuntimeOptions, StabilizationExperiment
 
-from .conftest import write_bench_result, write_result
+from .conftest import write_result
 
 ITERATIONS = 60
 
@@ -70,12 +70,6 @@ def test_sec_6_2_2_eye_tracker(benchmark, scale):
              "history-depth worst case 3 + 1 for burst spanning a frame)"]
     lines += summarize("eye_tracker", experiment, trials, worst_case=4)
     write_result("sec_6_2_2_eye_tracker.txt", "\n".join(lines))
-    write_bench_result(
-        "sec_6_2_2_eye_tracker",
-        kind="campaign-shard",
-        benchmark=benchmark,
-        counters={"trials": len(trials)},
-    )
 
 
 def test_sec_6_2_3_sumo_robot(benchmark, scale):
@@ -91,9 +85,3 @@ def test_sec_6_2_3_sumo_robot(benchmark, scale):
              "54 changed, recovery next iteration)"]
     lines += summarize("sumo_robot", experiment, trials, worst_case=1)
     write_result("sec_6_2_3_sumo_robot.txt", "\n".join(lines))
-    write_bench_result(
-        "sec_6_2_3_sumo_robot",
-        kind="campaign-shard",
-        benchmark=benchmark,
-        counters={"trials": len(trials)},
-    )

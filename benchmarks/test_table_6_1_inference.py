@@ -23,7 +23,7 @@ from repro.core.errors import DiagnosticSink
 from repro.infer import infer_annotations, lattice_metrics
 from repro.infer.metrics import summarize_metrics
 
-from .conftest import write_bench_result, write_result
+from .conftest import write_result
 
 
 def manual_metrics(name: str):
@@ -95,13 +95,6 @@ def test_table_6_1_inference_evaluation(benchmark):
         "linear types)"
     )
     write_result("table_6_1_inference.txt", "\n".join(lines))
-    write_bench_result(
-        "table_6_1_inference",
-        kind="infer",
-        benchmark=benchmark,
-        scenario="paper/table_6_1_sinfer_mp3",
-        counters={"apps": len(APP_NAMES)},
-    )
 
     # shape assertions (who wins): SInfer never more complex than naive
     for name in APP_NAMES:

@@ -30,7 +30,8 @@ Subcommands mirror the workflow of the paper's tool:
   stream written by ``--events`` (severity floor, name substring,
   trace/span correlation; ``--follow`` streams live appends);
 * ``repro report``          — render the deterministic single-file HTML
-  dashboard (convergence curves, shard timeline, events, bench trend);
+  dashboard (convergence curves, shard timeline, events, and the bench
+  payloads it is given);
 * ``repro bench``           — run the declarative benchmark suite and
   write a schema-versioned ``BENCH_*.json`` (``--compare`` is the
   regression gate, ``--report`` a self-time table over a JSONL trace;
@@ -960,10 +961,10 @@ def _follow_events_loop(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import EventError, write_report
 
-    if not (args.campaign or args.events or args.bench or args.history):
+    if not (args.campaign or args.events or args.bench):
         print(
             "error: report needs at least one input "
-            "(--campaign / --events / --bench / --history)",
+            "(--campaign / --events / --bench)",
             file=sys.stderr,
         )
         return 2
@@ -973,8 +974,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             campaign_path=args.campaign,
             events_path=args.events,
             bench_paths=args.bench or (),
-            history_dir=args.history,
-            trend_threshold=args.trend_threshold,
             title=args.title,
             generated_at=args.generated_at,
         )
@@ -1031,22 +1030,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
 
     try:
-        if args.action == "trend":
-            from repro.obs.history import bench_trend, format_trend_table
-
-            trend = bench_trend(
-                args.history, threshold_pct=args.threshold,
-                scenarios=args.scenario,
-            )
-            if args.json:
-                print(protocol.dumps({
-                    "version": protocol.PROTOCOL_VERSION,
-                    "kind": "bench-trend",
-                    **trend,
-                }))
-            else:
-                print(format_trend_table(trend))
-            return 0
         if args.attribute is not None:
             old_path, new_path = args.attribute
             attribution = attribute_benchmarks(
@@ -1475,12 +1458,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="bench payload for the trend table "
                              "(repeatable, in trend order)")
-    report.add_argument("--history", metavar="DIR", default=None,
-                        help="bench history directory; renders the perf-"
-                             "trajectory sparkline panel with changepoints")
-    report.add_argument("--trend-threshold", type=float, default=10.0,
-                        help="changepoint threshold percentage for "
-                             "--history (default: 10)")
     report.add_argument("--html", metavar="OUT.html", required=True,
                         help="output path for the dashboard")
     report.add_argument("--title", default="Stabilization report")
@@ -1492,17 +1469,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="run the benchmark suite, compare runs, report a trace, "
-             "attribute a shift, or render the perf trajectory",
+             "or attribute a shift",
     )
-    bench.add_argument("action", nargs="?", choices=("trend",),
-                       default=None,
-                       help="'trend': aggregate the bench history "
-                            "directory into per-scenario trend series "
-                            "with changepoints, instead of running")
-    bench.add_argument("--history", metavar="DIR",
-                       default="benchmarks/history",
-                       help="bench history directory for 'trend' "
-                            "(default: benchmarks/history)")
     bench.add_argument("--attribute", nargs=2,
                        metavar=("OLD.json", "NEW.json"), default=None,
                        help="rank which spans account for each "
@@ -1515,8 +1483,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario suite to run (default: small)")
     bench.add_argument("--scenario", action="append", metavar="NAME",
                        help="run only this scenario (repeatable; overrides "
-                            "--suite); with 'trend', filter the history to "
-                            "these scenario series")
+                            "--suite)")
     bench.add_argument("--list", action="store_true",
                        help="list the suite's scenarios and exit")
     bench.add_argument("--warmup", type=int, default=1,

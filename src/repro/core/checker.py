@@ -201,22 +201,31 @@ def timed_check(source: str) -> tuple[CheckReport, dict]:
     the timings dict reports.
     """
     timings: dict[str, float] = {}
-    with timed_span("parse", timings):
-        program = parse_program(source)
-    return _check_timed(program, timings), timings
-
-
-def check_parsed(program: ast.Program) -> CheckReport:
-    return _check_timed(program, {})
-
-
-def _check_timed(program: ast.Program, timings: dict) -> CheckReport:
-    with timed_span("resolve", timings):
-        info = resolve_program(program)
-    with timed_span("typecheck", timings):
-        typecheck_program(info)
+    info = timed_front_end(source, timings)
     start = time.perf_counter()
     # SJavaChecker opens its own "lattice_build" and "check" spans.
     report = SJavaChecker(info).run()
     timings["check"] = time.perf_counter() - start
-    return report
+    return report, timings
+
+
+def timed_front_end(source: str, timings: dict) -> ProgramInfo:
+    """Parse, resolve and typecheck ``source``, recording each pass's
+    wall time in ``timings`` under a span of the same name.  The one
+    front end :func:`timed_check` and
+    :func:`repro.infer.engine.timed_infer` share."""
+    with timed_span("parse", timings):
+        program = parse_program(source)
+    return _resolve_timed(program, timings)
+
+
+def check_parsed(program: ast.Program) -> CheckReport:
+    return SJavaChecker(_resolve_timed(program, {})).run()
+
+
+def _resolve_timed(program: ast.Program, timings: dict) -> ProgramInfo:
+    with timed_span("resolve", timings):
+        info = resolve_program(program)
+    with timed_span("typecheck", timings):
+        typecheck_program(info)
+    return info

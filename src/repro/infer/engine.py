@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.checker import CheckReport, check_program
+from repro.core.checker import CheckReport, check_program, timed_front_end
 from repro.core.lattice import Lattice
 from repro.obs import get_tracer, timed_span
 from repro.infer.cycles import avoid_superfluous_cycles
@@ -46,10 +46,8 @@ from repro.infer.value_flow import (
 )
 from repro.lang import ast
 from repro.lang.callgraph import MethodKey
-from repro.lang.parser import parse_program
 from repro.lang.printer import print_program
-from repro.lang.symtab import ProgramInfo, resolve_program
-from repro.lang.typecheck import typecheck_program
+from repro.lang.symtab import ProgramInfo
 
 
 @dataclass
@@ -323,18 +321,12 @@ def timed_infer(
     source: str, mode: str = "sinfer", verify: bool = True
 ) -> tuple[InferenceResult, dict]:
     """:func:`infer_annotations` on source text, also returning its wall
-    times: the front end's ``parse``/``resolve``/``typecheck``, the
-    engine's ``phase_seconds`` and a ``total`` around the whole run.
-    Like :func:`repro.core.checker.timed_check`, each front-end pass
-    also opens a span on the installed tracer."""
+    times: the front end's ``parse``/``resolve``/``typecheck`` (through
+    :func:`repro.core.checker.timed_front_end`, spans included), the
+    engine's ``phase_seconds`` and a ``total`` around the whole run."""
     start = time.perf_counter()
     timings: dict[str, float] = {}
-    with timed_span("parse", timings):
-        program = parse_program(source)
-    with timed_span("resolve", timings):
-        info = resolve_program(program)
-    with timed_span("typecheck", timings):
-        typecheck_program(info)
+    info = timed_front_end(source, timings)
     result = infer_annotations(info, mode=mode, verify=verify)
     timings.update(result.phase_seconds)
     timings["total"] = time.perf_counter() - start

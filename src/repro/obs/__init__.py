@@ -24,7 +24,7 @@ Three pieces (see ``docs/OBSERVABILITY.md``):
   drives;
 * **bench** (:mod:`repro.obs.bench`) — a declarative benchmark registry
   and runner over the registered apps, the schema-versioned
-  ``BENCH_*.json`` perf trajectory, the regression-gate comparator
+  ``BENCH_*.json`` payload, the regression-gate comparator
   behind ``repro bench --compare``, and the span-diff attribution
   engine behind ``repro bench --attribute`` (see
   ``docs/BENCHMARKS.md``);
@@ -38,9 +38,6 @@ Three pieces (see ``docs/OBSERVABILITY.md``):
   the span/section vocabulary, GC pause tracking via ``gc.callbacks``,
   and cache-occupancy watching, emitting schema-versioned
   ``MEM_*.json`` payloads (``repro bench --mem`` / ``--mem-json``);
-* **history** (:mod:`repro.obs.history`) — the bench history store:
-  per-scenario trend series over a directory of ``BENCH_*.json`` with
-  a noise-aware changepoint detector (``repro bench trend``);
 * **report** (:mod:`repro.obs.report`) — the deterministic single-file
   HTML dashboard behind ``repro report --html`` (convergence curves,
   shard timeline, event and bench tables).
@@ -76,10 +73,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "validate_events",
     ),
     "exporter": ("MetricsExporter", "NullExporter", "maybe_exporter"),
-    "history": (
-        "HistoryWarning", "bench_trend", "detect_changepoints", "env_key",
-        "format_trend_table", "load_history", "trend_series",
-    ),
     "metrics": (
         "DEFAULT_TIME_BUCKETS", "METRICS_SCHEMA", "SNAPSHOT_QUANTILES",
         "Counter", "Gauge", "Histogram", "MetricsRegistry", "global_registry",

@@ -1,4 +1,4 @@
-"""Benchmark harness, perf trajectory, and regression gate.
+"""Benchmark harness, bench payloads, and regression gate.
 
 Three pieces, all built on the tracing substrate (:mod:`repro.obs.trace`):
 
@@ -305,13 +305,12 @@ def scenario_result_from_samples(
     spans: Optional[Sequence[dict]] = None,
     memory: Optional[dict] = None,
 ) -> dict:
-    """A scenario result from externally measured samples — how the
-    paper-figure suites under ``benchmarks/`` feed their
-    pytest-benchmark timings into the same JSON schema.  ``spans`` is an
-    optional per-span self-time table (see :func:`run_scenario` with
-    ``span_table=True``) ready for :func:`attribute_benchmarks`;
-    ``memory`` is an optional externally measured ``memory`` section
-    (the :func:`run_scenario` ``memory=True`` shape)."""
+    """A scenario result from measured samples; :func:`run_scenario`
+    builds its results here too.  ``spans`` is an optional per-span
+    self-time table (see :func:`run_scenario` with ``span_table=True``)
+    ready for :func:`attribute_benchmarks`; ``memory`` is an optional
+    ``memory`` section (the :func:`run_scenario` ``memory=True``
+    shape)."""
     if kind not in KINDS:
         raise BenchError(f"unknown scenario kind {kind!r}")
     samples = [float(s) for s in samples]
@@ -463,28 +462,24 @@ def run_scenario(
                 if monitor is not None:
                     alloc_samples.append(monitor.end_sample())
                 if returned:
-                    counters = {
-                        k: float(v) for k, v in sorted(returned.items())
-                    }
+                    counters = returned
             if sink is not None:
                 # Stop collecting before the root closes so the bench.*
                 # span never reaches the table even via other sinks.
                 sink.enabled = False
             root.count("repetitions", repetitions)
-    result = {
-        "name": scenario.name,
-        "kind": scenario.kind,
-        "warmup": max(0, warmup),
-        "repetitions": repetitions,
-        "samples_seconds": samples,
-        "counters": counters,
-        **_stats(samples),
-    }
-    if sink is not None:
-        result["spans"] = _span_table(sink.events, scenario.name)
-    if monitor is not None:
-        result["memory"] = _memory_section(monitor, alloc_samples, gc_before)
-    return result
+    return scenario_result_from_samples(
+        scenario.name, scenario.kind, samples,
+        counters=counters,
+        warmup=max(0, warmup),
+        spans=(
+            None if sink is None else _span_table(sink.events, scenario.name)
+        ),
+        memory=(
+            None if monitor is None
+            else _memory_section(monitor, alloc_samples, gc_before)
+        ),
+    )
 
 
 def run_scenarios(

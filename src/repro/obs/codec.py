@@ -125,8 +125,8 @@ def write_payload(
     payload: dict, path: str | Path | None, prefix: str
 ) -> Path:
     """Write ``payload`` to ``path``, defaulting to
-    ``<prefix>_<UTCSTAMP>.json`` in the current directory so each
-    trajectory accumulates at the repo root across runs."""
+    ``<prefix>_<UTCSTAMP>.json`` in the current directory, so repeated
+    runs never overwrite each other."""
     if path is None:
         stamp = payload["created_utc"].replace("-", "").replace(":", "")
         path = Path.cwd() / f"{prefix}_{stamp}.json"

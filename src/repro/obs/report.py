@@ -65,9 +65,6 @@ svg .inject { stroke: #0969da; stroke-dasharray: 2 2; }
 svg .bar { fill: #0969da; }
 svg .bar.infra-failed { fill: #cf222e; }
 svg text { font-size: 9px; fill: #57606a; }
-svg .spark { fill: none; stroke: #0969da; stroke-width: 1.5; }
-svg .changepoint.regression { fill: #cf222e; stroke: none; }
-svg .changepoint.improvement { fill: #1a7f37; stroke: none; }
 """
 
 
@@ -581,164 +578,6 @@ def _memory_section(benches: list[tuple[str, dict]]) -> str:
     )
 
 
-def _marked(
-    points: list[dict], key: str, changepoints: list[dict]
-) -> list[tuple[float, Optional[str]]]:
-    """The ``key`` values of ``points`` that carry one, each paired with
-    the direction of the changepoint at that point (None if none)."""
-    direction = {cp["index"]: cp["direction"] for cp in changepoints}
-    return [
-        (p[key], direction.get(index)) for index, p in enumerate(points)
-        if p.get(key) is not None
-    ]
-
-
-def _spark_figure(
-    entry: dict,
-    series: list[tuple[float, Optional[str]]],
-    net: Optional[float],
-    **data,
-) -> str:
-    """One trajectory sparkline for ``entry``'s scenario: the series'
-    values left to right, scaled to the data range, with a dot on every
-    changepoint (red for a regression step, green for an improvement).
-    ``data`` names the point count on the svg."""
-    values = [value for value, _ in series]
-    width, height, top = 150.0, 40.0, 5.0
-    low, high = min(values), max(values)
-    span = (high - low) or 1.0
-    xs = (
-        [width / 2] if len(values) == 1
-        else [i * width / (len(values) - 1) for i in range(len(values))]
-    )
-
-    def y_of(value: float) -> float:
-        return top + height - (value - low) / span * height
-
-    parts = [f'<line class="axis" x1="0" y1="{top + height:g}" '
-             f'x2="{width:g}" y2="{top + height:g}" />']
-    if len(values) > 1:
-        coords = " ".join(
-            f"{x:.2f},{y_of(v):.2f}" for x, v in zip(xs, values)
-        )
-        parts.append(f'<polyline class="spark" points="{coords}" />')
-    dots = [
-        f'<circle class="changepoint {direction}" '
-        f'cx="{x:.2f}" cy="{y_of(value):.2f}" r="2.5" />'
-        for x, (value, direction) in zip(xs, series) if direction
-    ]
-    svg = _tag(
-        "svg", "".join(parts + dots),
-        viewBox=f"0 0 {width:g} {height + 2 * top:g}",
-        width="150", height="50",
-        data_scenario=entry["scenario"],
-        data_env=entry["env"],
-        **data,
-        data_changepoints=len(dots),
-    )
-    caption = (
-        f'{_esc(entry["scenario"])} · {len(values)} runs · '
-        f'net {_esc(None if net is None else f"{net:+.1f}%")}'
-    )
-    return _tag(
-        "figure", svg + f"<figcaption>{caption}</figcaption>", **{
-            "class": "curve",
-        }
-    )
-
-
-def _trend_section(trend: dict) -> str:
-    """The perf-trajectory panel: one sparkline per (scenario,
-    environment) series over the bench history directory, changepoints
-    marked, plus a table of every detected changepoint.  A trend
-    document with no series (empty or missing history directory) still
-    renders a valid "no history" note instead of vanishing."""
-    series = trend.get("series", [])
-    if not series:
-        missing = trend.get("missing_directory")
-        detail = (
-            f"history directory {_esc(missing)} does not exist."
-            if missing else
-            "no bench payloads in the history directory yet — run "
-            "<code>repro bench</code> and copy the "
-            "<code>BENCH_*.json</code> there."
-        )
-        return (
-            "<h2>Perf trajectory</h2>"
-            f'<p class="note">No bench history: {detail}</p>'
-        )
-    sections = [
-        "<h2>Perf trajectory</h2>",
-        f'<p class="note">{trend["payloads"]} bench payload(s); one '
-        "sparkline per scenario and environment, oldest run left.  Dots "
-        "mark changepoints (median shift beyond the noise envelope and "
-        f'±{_fmt(trend["threshold_pct"])}%): red regression, green '
-        "improvement.</p>",
-        _tag("div", "".join(
-            _spark_figure(
-                e, _marked(e["points"], "median_seconds", e["changepoints"]),
-                e.get("net_delta_pct"), data_points=len(e["points"]),
-            )
-            for e in series
-        ), **{"class": "curves"}),
-    ]
-    cp_rows = [
-        (entry["scenario"], cp["created_utc"],
-         (cp.get("git_sha") or "")[:12], cp["direction"],
-         cp["delta_pct"], cp["baseline_median_seconds"],
-         cp["median_seconds"])
-        for entry in series
-        for cp in entry["changepoints"]
-    ]
-    if cp_rows:
-        sections.append("<h3>Changepoints</h3>")
-        sections.append(_table(
-            ("scenario", "run", "git sha", "direction", "delta %",
-             "baseline median s", "median s"),
-            cp_rows, name_columns=4,
-        ))
-    with_memory = [e for e in series if e.get("memory_points")]
-    if with_memory:
-        sections.append("<h3>Memory trajectory</h3>")
-        sections.append(
-            '<p class="note">Median per-repetition allocation peak per '
-            "run (runs without memory telemetry skipped); dots mark "
-            "memory changepoints under the same noise + threshold "
-            "rule, in bytes.</p>"
-        )
-        sections.append(_tag("div", "".join(
-            _spark_figure(
-                e,
-                _marked(e["points"], "alloc_median_bytes",
-                        e.get("memory_changepoints", [])),
-                e.get("net_memory_delta_pct"),
-                data_memory_points=e["memory_points"],
-            )
-            for e in with_memory
-        ), **{"class": "curves"}))
-        mem_cp_rows = [
-            (entry["scenario"], cp["created_utc"],
-             (cp.get("git_sha") or "")[:12], cp["direction"],
-             cp["delta_pct"], cp["baseline_median_seconds"] / 1024.0,
-             cp["median_seconds"] / 1024.0)
-            for entry in with_memory
-            for cp in entry.get("memory_changepoints", [])
-        ]
-        if mem_cp_rows:
-            sections.append(_table(
-                ("scenario", "run", "git sha", "direction", "delta %",
-                 "baseline alloc KiB", "alloc KiB"),
-                mem_cp_rows, name_columns=4,
-            ))
-    if trend.get("skipped"):
-        sections.append(
-            '<p class="note">Skipped unreadable history files: '
-            + ", ".join(_esc(s["file"]) for s in trend["skipped"])
-            + ".</p>"
-        )
-    return "".join(sections)
-
-
 # ---------------------------------------------------------------------------
 # Page assembly
 # ---------------------------------------------------------------------------
@@ -749,7 +588,6 @@ def render_report(
     campaign: Optional[dict] = None,
     events: Optional[list[dict]] = None,
     benches: Optional[list[tuple[str, dict]]] = None,
-    trend: Optional[dict] = None,
     title: str = "Stabilization report",
     generated_at: Optional[str] = None,
 ) -> str:
@@ -788,12 +626,7 @@ def render_report(
     if benches:
         sections.append(_bench_section(list(benches)))
         sections.append(_memory_section(list(benches)))
-    if trend is not None:
-        sections.append(_trend_section(trend))
-    # An empty trend document still renders a "no history" note, so a
-    # trend input — even a missing directory — counts as content.
-    has_trend = trend is not None
-    if campaign is None and not events and not benches and not has_trend:
+    if campaign is None and not events and not benches:
         sections.append(
             '<p class="note">Nothing to report: no campaign manifest, '
             "events file, or bench files supplied.</p>"
@@ -814,8 +647,6 @@ def write_report(
     campaign_path=None,
     events_path=None,
     bench_paths: Sequence = (),
-    history_dir=None,
-    trend_threshold: float = 10.0,
     title: str = "Stabilization report",
     generated_at: Optional[str] = None,
 ) -> str:
@@ -830,28 +661,10 @@ def write_report(
         )
     events = read_events(events_path) if events_path is not None else None
     benches = [(Path(bench).name, read_bench(bench)) for bench in bench_paths]
-    trend = None
-    if history_dir is not None:
-        from repro.obs.history import bench_trend
-
-        if Path(history_dir).is_dir():
-            trend = bench_trend(history_dir, threshold_pct=trend_threshold)
-        else:
-            # A fresh clone has no benchmarks/history/ yet; the report
-            # must render a valid "no history" page, not error out.
-            trend = {
-                "threshold_pct": float(trend_threshold),
-                "payloads": 0,
-                "files": [],
-                "skipped": [],
-                "series": [],
-                "missing_directory": str(history_dir),
-            }
     document = render_report(
         campaign=campaign,
         events=events,
         benches=benches,
-        trend=trend,
         title=title,
         generated_at=generated_at,
     )

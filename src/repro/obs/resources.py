@@ -1,6 +1,6 @@
 """Memory & resource telemetry: the heap half of the perf substrate.
 
-Spans, profiles, and the bench trajectory measure *time*; this module
+Spans, profiles, and bench payloads measure *time*; this module
 measures what the process *holds* while it runs:
 
 * **peak RSS** via :func:`resource.getrusage` (normalized to bytes —

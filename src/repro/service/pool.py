@@ -11,7 +11,7 @@ misses go to the pool, each as the source text the parent read, and
 their reports are written back through the cache, so a warm batch run
 touches no worker at all.  Each miss gets one attempt: a check that
 exceeds the timeout reads ``timeout``, one that raises reads ``error``,
-and a killed worker fails only a file that was in flight with it.
+and a killed worker fails only the file that killed it.
 
 With ``max_workers=1`` both degrade to plain in-process execution: no
 subprocesses, no pickling, no timeout enforcement — the mode used by
@@ -27,7 +27,7 @@ from __future__ import annotations
 import concurrent.futures
 import random
 import time
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import EXTRA_QUEUED_CALLS, BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
@@ -94,10 +94,13 @@ class ResilientPool:
     Runs a picklable module-level function over a sequence of payloads
     with a per-task wall-clock timeout.  A worker crash
     (:class:`BrokenProcessPool` — e.g. a SIGKILLed worker) rebuilds the
-    pool and retries the in-flight task with capped, decorrelated-jitter
-    exponential backoff; tasks that keep failing are reported as
-    :class:`TaskFailure`, never silently dropped.  Fault-injection
-    campaigns fan their shards out through this.
+    pool and retries with capped, decorrelated-jitter exponential
+    backoff.  The crash is charged to the task that caused it: when it
+    leaves several tasks unfinished, those that may have been in flight
+    re-run one at a time on a one-worker pool first, so a task running
+    beside a crasher is never charged.  Tasks that keep failing are
+    reported as :class:`TaskFailure`, never silently dropped.
+    Fault-injection campaigns fan their shards out through this.
 
     Every source of nondeterminism is injectable: ``sleep`` (tests
     record the schedule instead of waiting), ``rng`` (a seeded
@@ -146,65 +149,107 @@ class ResilientPool:
         if self.max_workers <= 1:
             yield from self._run_inline(fn, payloads)
             return
-        attempts = self._attempts
-        attempts.update({index: 0 for index in range(len(payloads))})
+        self._attempts.update({index: 0 for index in range(len(payloads))})
         pending = list(range(len(payloads)))
-        round_number = 0
-        while pending:
-            if round_number:
+        # Tasks a worker death may be down to, re-run one at a time.
+        suspects: list[int] = []
+        troubled = False
+        while pending or suspects:
+            if troubled:
                 self.sleep(self._next_backoff())
-            round_number += 1
-            batch, pending = pending, []
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers
+            if suspects:
+                batch, workers = [suspects.pop(0)], 1
+            else:
+                batch, pending, workers = pending, [], self.max_workers
+            troubled = yield from self._round(
+                fn, payloads, batch, workers, pending, suspects
             )
-            broken = False
-            try:
-                futures = []
-                for position, index in enumerate(batch):
-                    try:
-                        futures.append(
-                            (index, executor.submit(fn, payloads[index]))
-                        )
-                    except BrokenProcessPool:
-                        # A worker died while the batch was still being
-                        # submitted: these tasks never ran, so requeue
-                        # them without charging a retry (the task that
-                        # crashed is charged below).
-                        pending.extend(batch[position:])
-                        break
-                for index, future in futures:
-                    if broken:
-                        # The pool died under an earlier task; these
-                        # never ran, so requeue without charging a retry.
-                        pending.append(index)
-                        continue
-                    try:
-                        yield index, future.result(timeout=self.task_timeout)
-                    except concurrent.futures.TimeoutError:
-                        future.cancel()
-                        outcome = self._register_failure(
-                            attempts, index, pending, "timeout",
-                            f"task exceeded {self.task_timeout:.1f}s",
-                        )
-                        if outcome is not None:
-                            yield index, outcome
-                    except BrokenProcessPool as exc:
-                        broken = True
-                        outcome = self._register_failure(
-                            attempts, index, pending, "worker-crash",
-                            str(exc) or "worker process died",
-                        )
-                        if outcome is not None:
-                            yield index, outcome
-                    except Exception as exc:
-                        outcome = self._register_failure(
-                            attempts, index, pending, "error", str(exc)
-                        )
-                        if outcome is not None:
-                            yield index, outcome
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
+
+    def _round(
+        self,
+        fn: Callable[[dict], dict],
+        payloads: Sequence[dict],
+        batch: list[int],
+        workers: int,
+        pending: list[int],
+        suspects: list[int],
+    ) -> Iterator[tuple[int, dict | TaskFailure]]:
+        """Run ``batch`` on a fresh pool of ``workers`` processes,
+        yielding what settles and requeueing the rest; returns whether
+        any task failed."""
+        # A suspect's retry stays on the one-at-a-time queue.
+        retry = suspects if workers == 1 else pending
+        troubled = False
+        executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = []
+            for position, index in enumerate(batch):
+                try:
+                    future = executor.submit(fn, payloads[index])
+                    futures.append((index, future))
+                except BrokenProcessPool:
+                    # A worker died while the batch was still being
+                    # submitted: these tasks never ran, so requeue
+                    # them without charging a retry.
+                    retry.extend(batch[position:])
+                    troubled = True
+                    break
+            for position, (index, future) in enumerate(futures):
+                try:
+                    yield index, future.result(timeout=self.task_timeout)
+                    continue
+                except concurrent.futures.TimeoutError:
+                    future.cancel()
+                    reason = "timeout"
+                    message = f"task exceeded {self.task_timeout:.1f}s"
+                except BrokenProcessPool as exc:
+                    yield from self._settle_break(
+                        futures[position:], retry, pending, suspects,
+                        str(exc) or "worker process died",
+                    )
+                    return True
+                except Exception as exc:
+                    reason, message = "error", str(exc)
+                troubled = True
+                yield from self._fail(index, retry, reason, message)
+        finally:
+            executor.shutdown(wait=False, cancel_futures=True)
+        return troubled
+
+    def _settle_break(
+        self,
+        futures: list[tuple[int, concurrent.futures.Future]],
+        retry: list[int],
+        pending: list[int],
+        suspects: list[int],
+        message: str,
+    ) -> Iterator[tuple[int, dict | TaskFailure]]:
+        """Settle a broken pool's ``futures``, the first of which raised
+        the break: those that finished yield, and the break is charged
+        to the one unfinished task.  With several unfinished, no one is
+        charged yet.  Workers take tasks in submission order, so the one
+        a dead worker was running is among the first ``max_workers``
+        unfinished; those and ``EXTRA_QUEUED_CALLS`` more, for a result
+        the break overtook, re-run one at a time, where a break names
+        its task.  The rest are requeued."""
+        unfinished = []
+        for index, future in futures:
+            # Waits only while the broken pool fails its pending futures.
+            error = future.exception()
+            if isinstance(error, BrokenProcessPool):
+                unfinished.append(index)
+            elif error is None:
+                yield index, future.result()
+            else:
+                yield from self._fail(index, retry, "error", str(error))
+        if len(unfinished) == 1:
+            yield from self._fail(
+                unfinished[0], retry, "worker-crash", message
+            )
+            return
+        window = self.max_workers + EXTRA_QUEUED_CALLS
+        suspects.extend(unfinished[:window])
+        pending.extend(unfinished[window:])
 
     def _run_inline(
         self, fn: Callable[[dict], dict], payloads: Sequence[dict]
@@ -217,22 +262,18 @@ class ResilientPool:
                     reason="error", message=str(exc), attempts=1
                 )
 
-    def _register_failure(
-        self,
-        attempts: dict[int, int],
-        index: int,
-        pending: list[int],
-        reason: str,
-        message: str,
-    ) -> Optional[TaskFailure]:
-        """Requeue the task, or give up and return its failure record."""
-        attempts[index] += 1
-        if attempts[index] <= self.max_retries:
-            pending.append(index)
-            return None
-        return TaskFailure(
-            reason=reason, message=message, attempts=attempts[index]
-        )
+    def _fail(
+        self, index: int, queue: list[int], reason: str, message: str
+    ) -> Iterator[tuple[int, TaskFailure]]:
+        """Charge task ``index`` one attempt and requeue it on
+        ``queue``, or give up and yield its failure record."""
+        self._attempts[index] += 1
+        if self._attempts[index] <= self.max_retries:
+            queue.append(index)
+        else:
+            yield index, TaskFailure(
+                reason=reason, message=message, attempts=self._attempts[index]
+            )
 
     def _next_backoff(self) -> float:
         """Capped exponential backoff with decorrelated jitter: each

@@ -111,12 +111,18 @@ def infer_payload(
     file: Optional[str] = None,
     timings: Optional[dict] = None,
 ) -> dict:
-    """Wrap :meth:`InferenceResult.summary_dict` in a versioned envelope."""
+    """Wrap :meth:`InferenceResult.summary_dict` in a versioned envelope.
+
+    With ``timings`` (from :func:`repro.infer.timed_infer`),
+    ``elapsed_seconds`` is their ``total``: like a check payload's, it
+    covers the whole run, front end and verification included, where
+    the summary's own figure is SInfer's time alone (Table 6.1)."""
     payload = {"version": PROTOCOL_VERSION, "kind": "infer", **summary}
     if file is not None:
         payload["file"] = file
     if timings is not None:
         payload["timings"] = timings
+        payload["elapsed_seconds"] = timings["total"]
     return payload
 
 

@@ -381,149 +381,6 @@ class TestChaosPanel:
         assert "Chaos" not in document
 
 
-TREND_GOLDEN = Path(__file__).parent / "golden" / "trend.golden.html"
-
-_TREND_FINGERPRINT = {
-    "python": "3.11.0",
-    "implementation": "CPython",
-    "platform": "Linux-golden",
-    "machine": "x86_64",
-    "cpu_count": 4,
-    "git_sha": "0" * 40,
-}
-
-
-def _trend_history(directory: Path) -> Path:
-    """Three pinned bench payloads with a regression step on check/toy
-    between run b and run c; check/other stays flat."""
-    from repro.obs.bench import bench_payload, scenario_result_from_samples, \
-        write_bench
-
-    directory.mkdir(parents=True, exist_ok=True)
-    runs = [
-        ("BENCH_a.json", "2026-01-01T00:00:00Z",
-         {"check/toy": [1.0, 1.0, 1.0], "check/other": [0.5, 0.5, 0.5]}),
-        ("BENCH_b.json", "2026-01-02T00:00:00Z",
-         {"check/toy": [1.0, 1.01, 1.02], "check/other": [0.5, 0.5, 0.5]}),
-        ("BENCH_c.json", "2026-01-03T00:00:00Z",
-         {"check/toy": [2.0, 2.0, 2.0], "check/other": [0.5, 0.5, 0.5]}),
-    ]
-    for filename, created, scenarios in runs:
-        results = [
-            scenario_result_from_samples(
-                name, "check", samples, counters={"ops": 2}, warmup=1
-            )
-            for name, samples in sorted(scenarios.items())
-        ]
-        payload = bench_payload(
-            results, suite="golden", warmup=1, repetitions=3,
-            fingerprint=dict(_TREND_FINGERPRINT), created_utc=created,
-        )
-        write_bench(payload, directory / filename)
-    return directory
-
-
-def _render_trend(tmp_path: Path) -> str:
-    history = _trend_history(tmp_path / "history")
-    return write_report(tmp_path / "report.html", history_dir=history)
-
-
-class TestTrendPanel:
-    def test_golden_trend_panel_is_byte_stable(self, tmp_path):
-        """The trajectory page over pinned history payloads, byte for
-        byte — sparkline geometry drift must be a conscious golden
-        regeneration."""
-        document = _render_trend(tmp_path)
-        assert document == TREND_GOLDEN.read_text(encoding="utf-8")
-
-    def test_identical_history_identical_bytes(self, tmp_path):
-        assert _render_trend(tmp_path / "a") == _render_trend(tmp_path / "b")
-
-    def test_sparklines_and_changepoints_rendered(self, tmp_path):
-        document = _render_trend(tmp_path)
-        assert "Perf trajectory" in document
-        # one sparkline per (scenario, environment) series
-        assert document.count('<polyline class="spark"') == 2
-        # exactly the injected step is marked, as a regression dot
-        assert document.count('circle class="changepoint') == 1
-        assert 'class="changepoint regression"' in document
-        assert 'data-scenario="check/toy"' in document
-        # the changepoint table names the step run and its sha
-        assert "Changepoints" in document
-        assert "2026-01-03T00:00:00Z" in document
-        assert "000000000000" in document
-
-    def test_trend_composes_with_other_sections(self, tmp_path):
-        history = _trend_history(tmp_path / "history")
-        manifest_path = tmp_path / "manifest.json"
-        manifest_path.write_text(json.dumps(_reference_manifest()))
-        document = write_report(
-            tmp_path / "report.html",
-            campaign_path=manifest_path,
-            history_dir=history,
-        )
-        assert "Verdicts" in document
-        assert "Perf trajectory" in document
-
-    def test_skipped_history_files_are_named(self, tmp_path):
-        import warnings
-
-        history = _trend_history(tmp_path / "history")
-        (history / "BENCH_torn.json").write_text('{"schema": 1, "kin')
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            document = write_report(
-                tmp_path / "report.html", history_dir=history
-            )
-        assert "Skipped unreadable history files: BENCH_torn.json." \
-            in document
-
-    def test_report_cli_history_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        history = _trend_history(tmp_path / "history")
-        out = tmp_path / "report.html"
-        assert main([
-            "report", "--history", str(history), "--html", str(out),
-        ]) == 0
-        assert "report written to" in capsys.readouterr().err
-        assert "Perf trajectory" in out.read_text(encoding="utf-8")
-
-    def test_empty_history_dir_renders_no_history_notice(self, tmp_path):
-        """An existing-but-empty history directory is a valid state (a
-        fresh clone before the first bench run): the page renders with
-        an explanatory note instead of the generic empty-report text."""
-        history = tmp_path / "history"
-        history.mkdir()
-        document = write_report(tmp_path / "report.html",
-                                history_dir=history)
-        assert "Perf trajectory" in document
-        assert "No bench history" in document
-        assert "repro bench" in document
-
-    def test_missing_history_dir_renders_no_history_notice(self, tmp_path):
-        """Regression: --history pointing at a directory that does not
-        exist used to raise out of bench_trend; it must render a valid
-        'no history' page naming the missing directory."""
-        history = tmp_path / "does-not-exist"
-        document = write_report(tmp_path / "report.html",
-                                history_dir=history)
-        assert "No bench history" in document
-        assert "does-not-exist" in document
-
-    def test_report_cli_missing_history_dir_exits_zero(self, tmp_path,
-                                                       capsys):
-        from repro.cli import main
-
-        out = tmp_path / "report.html"
-        assert main([
-            "report", "--history", str(tmp_path / "nope"),
-            "--html", str(out),
-        ]) == 0
-        assert "report written to" in capsys.readouterr().err
-        assert "No bench history" in out.read_text(encoding="utf-8")
-
-
 class TestBenchInputValidation:
     """``repro report --bench`` loads BENCH files through read_bench:
     a malformed payload is a clean usage error, not a traceback or an
@@ -566,45 +423,6 @@ MEMORY_REPORT_GOLDEN = (
 )
 
 
-def _memory_history(directory: Path) -> Path:
-    """Three pinned memory-bearing payloads with an allocation step on
-    the last run while time stays flat."""
-    import statistics
-
-    from repro.obs.bench import bench_payload, \
-        scenario_result_from_samples, write_bench
-
-    directory.mkdir(parents=True, exist_ok=True)
-    runs = [
-        ("BENCH_a.json", "2026-01-01T00:00:00Z", [1000, 1000, 1000]),
-        ("BENCH_b.json", "2026-01-02T00:00:00Z", [1005, 1010, 1000]),
-        ("BENCH_c.json", "2026-01-03T00:00:00Z", [2000, 2000, 2000]),
-    ]
-    for filename, created, allocs in runs:
-        result = scenario_result_from_samples(
-            "check/toy", "check", [1.0, 1.0, 1.0],
-            counters={"ops": 2}, warmup=1,
-            memory={
-                "peak_rss_bytes": 64 * 1048576,
-                "alloc_per_rep_bytes": list(allocs),
-                "alloc_peak_bytes": max(allocs),
-                "alloc_median_bytes": float(statistics.median(allocs)),
-                "alloc_stddev_bytes": (
-                    float(statistics.stdev(allocs))
-                    if len(allocs) > 1 else 0.0
-                ),
-                "gc_collections": 1,
-                "gc_pause_seconds_total": 0.002,
-            },
-        )
-        payload = bench_payload(
-            [result], suite="golden", warmup=1, repetitions=3,
-            fingerprint=dict(_TREND_FINGERPRINT), created_utc=created,
-        )
-        write_bench(payload, directory / filename)
-    return directory
-
-
 class TestMemoryPanel:
     def test_memory_panel_renders_for_memory_bearing_bench(self, tmp_path):
         document = write_report(
@@ -627,33 +445,14 @@ class TestMemoryPanel:
         )
         assert "<h2>Memory</h2>" not in document
 
-    def test_memory_trajectory_renders_with_changepoint(self, tmp_path):
-        history = _memory_history(tmp_path / "history")
-        document = write_report(tmp_path / "report.html",
-                                history_dir=history)
-        assert "Memory trajectory" in document
-        assert 'data-memory-points="3"' in document
-        # the injected allocation step lands in the changepoint table
-        assert "baseline alloc KiB" in document
-        assert "2026-01-03T00:00:00Z" in document
-
-    def test_time_only_history_renders_no_memory_trajectory(self, tmp_path):
-        history = _trend_history(tmp_path / "history")
-        document = write_report(tmp_path / "report.html",
-                                history_dir=history)
-        assert "Perf trajectory" in document
-        assert "Memory trajectory" not in document
-
     def test_golden_memory_report_is_byte_stable(self, tmp_path):
-        """The memory panel + memory trajectory, byte for byte — layout
-        drift must be a conscious golden regeneration."""
-        history = _memory_history(tmp_path / "history")
+        """The memory panel, byte for byte — layout drift must be a
+        conscious golden regeneration."""
         document = write_report(
             tmp_path / "report.html",
             bench_paths=[
                 Path(__file__).parent / "golden"
                 / "bench_memory.golden.json"
             ],
-            history_dir=history,
         )
         assert document == MEMORY_REPORT_GOLDEN.read_text(encoding="utf-8")

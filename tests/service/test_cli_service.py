@@ -60,6 +60,17 @@ class TestInferJson:
         assert payload["verified"] is True
         assert payload["summary"]["total_locations"] > 0
 
+    def test_elapsed_seconds_is_the_timings_total(self, tmp_path, capsys):
+        """One payload, one total: like a check's, an infer payload's
+        elapsed_seconds spans the front end and the verify step."""
+        from repro.apps import app_source
+
+        stripped = tmp_path / "stripped.sj"
+        stripped.write_text(app_source("wind_sensor", annotated=False))
+        assert main(["infer", str(stripped), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["elapsed_seconds"] == payload["timings"]["total"]
+
 
 class TestBatch:
     def test_batch_over_bundled_apps(self, tmp_path, capsys):

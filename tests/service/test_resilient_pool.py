@@ -103,6 +103,21 @@ class TestWorkerCrash:
         assert outcomes[1] == {"value": 2}
         assert outcomes[2] == {"value": 4}
 
+    def test_crash_is_charged_to_the_crasher_not_its_neighbour(self):
+        """The crasher is submitted second, so the task in flight
+        beside it is the first unfinished one when the pool breaks."""
+        pool = ResilientPool(max_workers=2, max_retries=2,
+                             sleep=lambda seconds: None)
+        outcomes = collect(
+            pool, _sleepy_or_crash, [{"seconds": 0.3}, {"crash": True}]
+        )
+        assert outcomes[0] == {"slept": True}
+        assert pool.attempts_of(0) == 1
+        failure = outcomes[1]
+        assert isinstance(failure, TaskFailure)
+        assert failure.reason == "worker-crash"
+        assert failure.attempts == 3  # max_retries + 1 charged runs
+
 
 def _pools_breaking_during_submission() -> type:
     """A process-pool class whose first pool loses its first task's
@@ -158,6 +173,12 @@ def _crash_always_or_double(payload: dict) -> dict:
     if payload.get("crash"):
         return _crash_always(payload)
     return _double(payload)
+
+
+def _sleepy_or_crash(payload: dict) -> dict:
+    if payload.get("crash"):
+        return _crash_always(payload)
+    return _sleepy(payload)
 
 
 class TestTimeout:

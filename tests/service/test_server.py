@@ -75,6 +75,16 @@ class TestDaemonRoundTrip:
         assert response["verified"] is True
         assert "@LATTICE(" in response["annotated_source"]
 
+    def test_infer_elapsed_seconds_is_the_timings_total(
+        self, server, wind_source
+    ):
+        from repro.apps import strip_location_annotations
+
+        stripped = strip_location_annotations(wind_source)
+        with ReproClient(server.socket_path) as client:
+            response = client.infer(source=stripped)
+        assert response["elapsed_seconds"] == response["timings"]["total"]
+
 
 class TestStatusAndErrors:
     def test_status_counts_requests(self, server, wind_source):

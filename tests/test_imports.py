@@ -73,7 +73,7 @@ CHECK_NEVER = (
     "repro.chaos",
     "repro.service.pool", "repro.service.cache", "repro.service.server",
     "repro.service.client",
-    "repro.obs.bench", "repro.obs.history", "repro.obs.report",
+    "repro.obs.bench", "repro.obs.report",
     "repro.obs.exporter", "repro.obs.propagate", "repro.obs.metrics",
     "http.server", "concurrent.futures.process", "multiprocessing",
 )
@@ -84,7 +84,7 @@ CHECK_NEVER = (
 INJECTION_NEVER = (
     "repro.infer", "repro.core.checker",
     "repro.service.cache", "repro.service.server", "repro.service.client",
-    "repro.obs.bench", "repro.obs.history", "repro.obs.report",
+    "repro.obs.bench", "repro.obs.report",
     "repro.obs.exporter", "http.server",
 )
 
