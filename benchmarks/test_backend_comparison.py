@@ -1,5 +1,5 @@
 """Execution backend comparison: tree-walking interpreter vs the
-closure-compiling runner (the code-generation strategy of Section 4.4).
+code-generating runner (the code-generation strategy of Section 4.4).
 
 Both are observationally identical (differential tests in
 ``tests/runtime/test_compiler.py``); this benchmark quantifies the
@@ -57,7 +57,7 @@ def test_backend_speedup_report(benchmark):
         "Execution backends on the MP3 decoder "
         f"({FRAMES} frames, best of 3):",
         f"  tree-walking interpreter: {interp * 1000:8.1f} ms",
-        f"  closure-compiled runner:  {compiled * 1000:8.1f} ms",
+        f"  code-generating runner:   {compiled * 1000:8.1f} ms",
         f"  speedup: {interp / compiled:.2f}x",
     ]
     write_result("backend_comparison.txt", "\n".join(lines))

@@ -212,18 +212,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.service import protocol
 
     with _observed(args, "repro.check", file=args.file):
-        source = Path(args.file).read_text(encoding="utf-8")
+        # The file read and the report get phases of their own, so the
+        # phases of a --profile tree cover the whole root.
+        with get_tracer().span("read"):
+            source = Path(args.file).read_text(encoding="utf-8")
         start = time.perf_counter()
         report, timings = timed_check(source)
-        if args.json:
-            print(protocol.dumps(protocol.check_payload(
-                report,
-                file=args.file,
-                elapsed_seconds=time.perf_counter() - start,
-                timings=timings,
-            )))
-        else:
-            print(report.format())
+        with get_tracer().span("report"):
+            if args.json:
+                print(protocol.dumps(protocol.check_payload(
+                    report,
+                    file=args.file,
+                    elapsed_seconds=time.perf_counter() - start,
+                    timings=timings,
+                )))
+            else:
+                print(report.format())
     return 0 if report.self_stabilizing else 1
 
 

@@ -1,7 +1,7 @@
 """The distributed node harness and message-passing fabric.
 
 N independent sjava program instances — one per fabric node — executed
-by the *unchanged* single-node backends (the closure compiler, or the
+by the *unchanged* single-node backends (the code generator, or the
 tree-walking interpreter as its differential oracle).  Each activation
 runs one node's program for exactly one event-loop iteration on an
 :class:`IterationKeyedDevice` whose generator exposes that node's view

@@ -60,7 +60,7 @@ class ProgramInfo:
     field_refs: dict[int, tuple[str, ast.FieldDecl]] = field(default_factory=dict)
     #: Enclosing (class name, method) for each method body statement uid.
     event_loops: list[EventLoop] = field(default_factory=list)
-    #: The execution backend's compiled closures
+    #: The execution backend's generated code
     #: (``repro.runtime.compiler.CompiledProgram``), made on the first
     #: run and shared by every engine on this program.
     compiled: Optional[object] = field(default=None, repr=False, compare=False)

@@ -6,7 +6,9 @@ passes:
 
 1. a normalization pass that resolves bare identifiers — rewriting
    ``fieldName`` to ``this.fieldName`` (Java's implicit ``this``) — and
-   enforces the mini-language's no-shadowing rule;
+   enforces the mini-language's no-shadowing rule and Java's placement
+   rules: no declaration as the whole body of an ``if``, ``else`` or
+   loop, and no ``break`` or ``continue`` outside a loop;
 2. a type checking pass that assigns a semantic type to every expression,
    resolves calls and field accesses, and validates standard typing
    rules.
@@ -59,6 +61,8 @@ class _Normalizer:
         self.method = method
         self.declared: set[str] = set()
         self.scopes: list[set[str]] = [set()]
+        #: How many loops enclose the statement being normalized.
+        self.loops = 0
 
     def run(self) -> None:
         for param in self.method.params:
@@ -89,6 +93,18 @@ class _Normalizer:
     # name only for *later* declarations, preserving Java semantics for
     # straight-line code while keeping analyses name-keyed.
 
+    def _normalize_body(self, stmt: ast.Stmt, loop: bool = False) -> None:
+        """Normalize the body of an ``if``, ``else`` or loop.  As in Java,
+        a declaration may not be the whole body: it would declare a name
+        in the enclosing scope that a skipped body leaves unbound."""
+        if isinstance(stmt, ast.VarDecl):
+            raise JavaTypeError("variable declaration not allowed here", stmt)
+        self.loops += loop
+        try:
+            self._normalize_stmt(stmt)
+        finally:
+            self.loops -= loop
+
     def _normalize_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.Block):
             self._push()
@@ -104,12 +120,12 @@ class _Normalizer:
             stmt.value = self._normalize_expr(stmt.value)
         elif isinstance(stmt, ast.If):
             stmt.cond = self._normalize_expr(stmt.cond)
-            self._normalize_stmt(stmt.then_body)
+            self._normalize_body(stmt.then_body)
             if stmt.else_body is not None:
-                self._normalize_stmt(stmt.else_body)
+                self._normalize_body(stmt.else_body)
         elif isinstance(stmt, ast.While):
             stmt.cond = self._normalize_expr(stmt.cond)
-            self._normalize_stmt(stmt.body)
+            self._normalize_body(stmt.body, loop=True)
         elif isinstance(stmt, ast.For):
             self._push()
             if stmt.init is not None:
@@ -118,7 +134,7 @@ class _Normalizer:
                 stmt.cond = self._normalize_expr(stmt.cond)
             if stmt.update is not None:
                 self._normalize_stmt(stmt.update)
-            self._normalize_stmt(stmt.body)
+            self._normalize_body(stmt.body, loop=True)
             self._pop()
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
@@ -126,7 +142,11 @@ class _Normalizer:
         elif isinstance(stmt, ast.ExprStmt):
             stmt.expr = self._normalize_expr(stmt.expr)
         elif isinstance(stmt, (ast.Break, ast.Continue)):
-            pass
+            if not self.loops:
+                # Java's rule; the engines then never carry a jump out
+                # of the method it is written in.
+                keyword = type(stmt).__name__.lower()
+                raise JavaTypeError(f"{keyword!r} outside a loop", stmt)
         else:  # pragma: no cover - defensive
             raise JavaTypeError(f"unhandled statement {type(stmt).__name__}", stmt)
 

@@ -226,6 +226,19 @@ class Interpreter:
         dispatch_class = (
             receiver.class_name if isinstance(receiver, ObjectVal) else static_class
         )
+        owner, decl = self._find_target(dispatch_class, static_class, method_name)
+        frame = _Frame(receiver, self)
+        for param, arg in zip(decl.params, args):
+            frame.vars[param.name] = arg
+        try:
+            return self._exec_body(owner, decl, frame)
+        except _ReturnSignal as signal:
+            return signal.value
+
+    def _find_target(
+        self, dispatch_class: str, static_class: str, method_name: str
+    ) -> tuple[str, ast.MethodDecl]:
+        """The declaring class and declaration a call dispatches to."""
         found = self.info.find_method(dispatch_class, method_name)
         if found is None:
             found = self.info.find_method(static_class, method_name)
@@ -233,18 +246,13 @@ class Interpreter:
             raise SJavaRuntimeError(
                 f"no method {method_name!r} on class {dispatch_class!r}"
             )
-        owner, decl = found
-        frame = _Frame(receiver, self)
-        for param, arg in zip(decl.params, args):
-            frame.vars[param.name] = arg
-        try:
-            self._exec_body(owner, decl, frame)
-        except _ReturnSignal as signal:
-            return signal.value
-        return None
+        return found
 
-    def _exec_body(self, owner: str, decl: ast.MethodDecl, frame: "_Frame") -> None:
+    def _exec_body(self, owner: str, decl: ast.MethodDecl, frame: "_Frame") -> object:
+        """Run a method body; returns its value, or raises
+        :class:`_ReturnSignal` with it."""
         self.exec_stmt(decl.body, frame)
+        return None
 
     # -- statements ----------------------------------------------------------------
 
@@ -595,11 +603,13 @@ class Interpreter:
             args = [self.eval(arg, frame) for arg in call.args]
             return self._eval_math(name, args, call)
         if namespace in ("OrderedBuffer", "OrderedIntBuffer"):
+            # Java's order: the receiver, the arguments, then the null
+            # test (JLS 15.12.4).
             receiver = self.eval(call.receiver, frame)
+            args = [self.eval(arg, frame) for arg in call.args]
             if receiver is None:
                 self._null_error(f"{name} on null buffer", call)
                 return 0 if name in ("get", "size") else None
-            args = [self.eval(arg, frame) for arg in call.args]
             if name == "insert":
                 receiver.insert(args[0])
                 return None
@@ -681,10 +691,18 @@ class Interpreter:
     # -- injection ------------------------------------------------------------------------
 
     def _inject(self, value: object, node: ast.Node) -> object:
-        self._charge()
-        if self.injector is None:
+        """An injection site: charge one step (as :meth:`_charge`), then
+        let the injector see, and perhaps replace, ``value``."""
+        self.steps += 1
+        budget = self.options.step_budget
+        if budget is not None and self.steps > budget:
+            raise StepBudgetExceeded(
+                f"step budget of {budget} execution steps exhausted"
+            )
+        injector = self.injector
+        if injector is None:
             return value
-        return self.injector.site(value, node)
+        return injector.site(value, node)
 
     @staticmethod
     def _truthy(value: object) -> bool:

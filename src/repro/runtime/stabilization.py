@@ -19,7 +19,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Callable, Optional
 
 from repro.lang import ast
@@ -106,11 +106,16 @@ def recovery_distance(
     reference_groups: list[list[object]],
     faulty_groups: list[list[object]],
     injection_iteration: int,
+    stop: Optional[int] = None,
 ) -> tuple[Optional[int], Optional[int], bool]:
     """Returns (samples, iterations, diverged).
 
     Recovery iteration: the first iteration r >= injection such that all
     per-iteration output groups from r onward equal the reference's.
+
+    Unless ``stop`` is None, ``faulty_groups[stop:]`` are
+    ``reference_groups``' own objects (see :meth:`Resume.groups`), so the
+    scan for ``r`` starts at ``stop``.
     """
     if faulty_groups == reference_groups:
         return None, None, False  # fault masked: no visible corruption
@@ -126,7 +131,7 @@ def recovery_distance(
     # output we cannot claim the program recovered, so such runs count
     # as diverged (give experiments enough trailing iterations to
     # observe recovery).
-    recovery = len(reference_groups)
+    recovery = len(reference_groups) if stop is None else stop
     while (
         recovery > injection_iteration
         and faulty_groups[recovery - 1] == reference_groups[recovery - 1]
@@ -141,19 +146,29 @@ def recovery_distance(
 def divergence_series(
     reference_groups: list[list[object]],
     faulty_groups: list[list[object]],
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> list[int]:
     """Per-iteration divergence-set size: how many output samples of
     iteration ``i`` differ (``!=``) between the faulty run and the
     reference, positions missing from either run counting as differing.
     The series the paper's Figures 6.1/6.2 make visible — it spikes at
-    the injection point and decays to zero as execution re-converges."""
-    return [
+    the injection point and decays to zero as execution re-converges.
+    ``faulty_groups`` outside ``start`` up to ``stop`` (None: the end)
+    are the reference's own groups (see :meth:`Resume.groups`) and count
+    zero."""
+    series = [0] * start
+    series.extend(
         sum(map(operator.ne, reference, faulty))
         + abs(len(reference) - len(faulty))
         for reference, faulty in zip_longest(
-            reference_groups, faulty_groups, fillvalue=()
+            reference_groups[start:stop], faulty_groups[start:stop],
+            fillvalue=(),
         )
-    ]
+    )
+    if stop is not None:
+        series.extend([0] * (len(reference_groups) - stop))
+    return series
 
 
 def convergence_series(
@@ -166,12 +181,12 @@ def convergence_series(
     the final point (the plateau) equals the trial's recovery distance
     in samples — the scalar ``recovery_samples`` records."""
     recovery = injection_iteration + recovery_iterations
-    series: list[int] = []
-    total = 0
-    for i in range(injection_iteration, len(reference_groups)):
-        if i < recovery:
-            total += len(reference_groups[i])
-        series.append(total)
+    series = list(
+        accumulate(map(len, reference_groups[injection_iteration:recovery]))
+    )
+    series.extend(
+        [series[-1] if series else 0] * (len(reference_groups) - recovery)
+    )
     return series
 
 
@@ -386,6 +401,21 @@ class Resume:
             engine.error_log = self.trace.error_log[:boundary.errors]
         self._locals = frame.vars
 
+    def groups(
+        self, engine: Interpreter, reference: list[list[object]]
+    ) -> list[list[object]]:
+        """The finished run's output groups: its own for the iterations
+        it ran, from ``index`` up to ``stopped_at``, and ``reference``'s
+        own group objects before and after them (the same outputs)."""
+        marks, values = engine.iteration_marks, engine.sink.values
+        stop = len(marks) if self.stopped_at is None else self.stopped_at
+        ran = [
+            values[marks[i - 1] if i else 0:marks[i]]
+            for i in range(self.index, stop)
+        ]
+        after = [] if self.stopped_at is None else reference[stop:]
+        return reference[:self.index] + ran + after
+
     def _splice(self, engine: Interpreter) -> None:
         """Append the reference's remainder after ``stopped_at`` to
         ``engine``: outputs and marks, error log, step count, and the
@@ -423,6 +453,10 @@ class InjectedRun:
     errors: int
     #: More :class:`InjectionTrial` fields for a corrupted run.
     telemetry: dict = field(default_factory=dict)
+    #: The iterations the run executed, ``start`` up to ``stop`` (None:
+    #: to its end); its groups outside them are the reference's own.
+    start: int = 0
+    stop: Optional[int] = None
 
 
 class TrialLifecycle:
@@ -550,7 +584,7 @@ class TrialLifecycle:
             iteration=injection_iteration,
         )
         samples, iterations, diverged = recovery_distance(
-            reference, run.judged, injection_iteration
+            reference, run.judged, injection_iteration, run.stop
         )
         convergence = (
             convergence_series(reference, injection_iteration, iterations)
@@ -582,7 +616,9 @@ class TrialLifecycle:
             recovery_iterations=iterations,
             diverged=diverged,
             error_log_size=run.errors,
-            divergence=divergence_series(reference, run.groups),
+            divergence=divergence_series(
+                reference, run.groups, run.start, run.stop
+            ),
             convergence=convergence,
             node=node,
             **run.telemetry,
@@ -605,7 +641,10 @@ class StabilizationExperiment(TrialLifecycle):
     iteration-keyed inputs: the paper's ∃k ∀t≥k), so it stops and
     splices in the reference's remainder (outputs, step count,
     error-log count, and the step budget's verdict on the total).  A
-    trial whose state never matches runs to its end.
+    trial whose state never matches runs to its end.  The verdict and
+    telemetry read only the iterations the trial ran: its output groups
+    before and after them are the reference's own objects
+    (:meth:`Resume.groups`), which list comparison passes by identity.
 
     Trials run in full from the start when the site precedes the loop,
     when :meth:`ReferenceTrace.seal` refuses the trace (a device other
@@ -629,10 +668,10 @@ class StabilizationExperiment(TrialLifecycle):
     options: RuntimeOptions = field(
         default_factory=lambda: RuntimeOptions(ignore_errors=True)
     )
-    #: Execution backend.  The closure-compiling runner is
+    #: Execution backend.  The code-generating runner is
     #: observationally identical to the interpreter (differentially
-    #: tested), runs whole programs 2.7–3.4× faster (see
-    #: repro.runtime.compiler), and is the only engine that resumes.
+    #: tested), is the faster one (see repro.runtime.compiler for
+    #: measurements), and is the only engine that resumes.
     engine: type = CompiledRunner
     #: Watchdog for *injected* runs only (the reference run is never
     #: budgeted): an absolute step cap, or a multiple of the reference
@@ -738,9 +777,15 @@ class StabilizationExperiment(TrialLifecycle):
                 resume.run(interpreter)
         finally:
             span.set_attr("stopped_at", resume.stopped_at if resume else None)
-        groups = interpreter.outputs_by_iteration()
+        steps, errors = interpreter.steps, len(interpreter.error_log)
+        if resume is None:
+            groups = interpreter.outputs_by_iteration()
+            return InjectedRun(groups, groups, steps, errors)
+        # Only the iterations the trial ran are judged.
+        groups = resume.groups(interpreter, self._reference_groups)
         return InjectedRun(
-            groups, groups, interpreter.steps, len(interpreter.error_log)
+            groups, groups, steps, errors,
+            start=resume.index, stop=resume.stopped_at,
         )
 
 

@@ -98,8 +98,14 @@ class ResilientPool:
     backoff.  The crash is charged to the task that caused it: when it
     leaves several tasks unfinished, those that may have been in flight
     re-run one at a time on a one-worker pool first, so a task running
-    beside a crasher is never charged.  Tasks that keep failing are
-    reported as :class:`TaskFailure`, never silently dropped.
+    beside a crasher is never charged.  A timeout is settled the same
+    way: the task that timed out is charged, the tasks still running
+    beside it get one more ``task_timeout`` to finish, and those still
+    unfinished re-run uncharged on a fresh pool.  Such a task may also
+    finish on the abandoned pool, so it can run twice: tasks must be
+    idempotent (campaign shards and checks are; results are stored by
+    the parent).  Tasks that keep failing are reported as
+    :class:`TaskFailure`, never silently dropped.
     Fault-injection campaigns fan their shards out through this.
 
     Every source of nondeterminism is injectable: ``sleep`` (tests
@@ -200,8 +206,12 @@ class ResilientPool:
                     continue
                 except concurrent.futures.TimeoutError:
                     future.cancel()
-                    reason = "timeout"
-                    message = f"task exceeded {self.task_timeout:.1f}s"
+                    yield from self._fail(
+                        index, retry, "timeout",
+                        f"task exceeded {self.task_timeout:.1f}s",
+                    )
+                    yield from self._settle_timeout(futures[position + 1:], retry)
+                    return True
                 except BrokenProcessPool as exc:
                     yield from self._settle_break(
                         futures[position:], retry, pending, suspects,
@@ -209,12 +219,37 @@ class ResilientPool:
                     )
                     return True
                 except Exception as exc:
-                    reason, message = "error", str(exc)
-                troubled = True
-                yield from self._fail(index, retry, reason, message)
+                    troubled = True
+                    yield from self._fail(index, retry, "error", str(exc))
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
         return troubled
+
+    def _settle_timeout(
+        self,
+        futures: list[tuple[int, concurrent.futures.Future]],
+        retry: list[int],
+    ) -> Iterator[tuple[int, dict | TaskFailure]]:
+        """Settle the ``futures`` submitted after one that timed out.  A
+        task's timeout runs only while the parent waits on it, so a task
+        still unfinished may never have had a worker.  The ``futures``
+        get one more ``task_timeout`` together: those running beside the
+        hung task finish here and yield, and those still unfinished
+        requeue uncharged, to run on a fresh pool."""
+        concurrent.futures.wait(
+            [future for _, future in futures], timeout=self.task_timeout
+        )
+        for index, future in futures:
+            if not future.done():
+                retry.append(index)
+                continue
+            error = future.exception()
+            if error is None:
+                yield index, future.result()
+            elif isinstance(error, BrokenProcessPool):
+                retry.append(index)
+            else:
+                yield from self._fail(index, retry, "error", str(error))
 
     def _settle_break(
         self,

@@ -63,6 +63,44 @@ class TestDeclarations:
         expect_error("class T { void m() { int y = x; int x = 1; } }",
                      "unknown identifier")
 
+    @pytest.mark.parametrize("head", [
+        "if (v > 3)", "if (v > 3) {} else", "while (v > 3)",
+        "for (int i = 0; i < v; i++)",
+    ])
+    def test_declaration_as_whole_body_rejected(self, head):
+        """Java's rule: the declaration would name a variable in the
+        enclosing scope that a skipped body leaves unbound."""
+        expect_error(
+            f"class T {{ void m(int v) {{ {head} int x = v; v = 1; }} }}",
+            "variable declaration not allowed here",
+        )
+
+    def test_declaration_in_a_braced_body_is_scoped(self):
+        analyze("class T { void m(int v) { if (v > 3) { int x = v; } } }")
+        expect_error(
+            "class T { void m(int v) { if (v > 3) { int x = v; } v = x; } }",
+            "unknown identifier",
+        )
+
+
+class TestJumps:
+    @pytest.mark.parametrize("jump", ["break", "continue"])
+    def test_jump_outside_a_loop_rejected(self, jump):
+        """A helper may not end its caller's loop (Java's rule)."""
+        expect_error(
+            "class T { void m(int v) { if (v > 3) { %s; } } }" % jump,
+            f"'{jump}' outside a loop",
+        )
+
+    @pytest.mark.parametrize("loop", [
+        "while (v > 0)", "for (;;)", "SSJAVA: while (true)",
+    ])
+    def test_jump_inside_a_loop_accepted(self, loop):
+        analyze(
+            "class T { void m(int v) { %s { if (v > 3) { break; } "
+            "if (v > 2) { continue; } v = v - 1; } } }" % loop
+        )
+
 
 class TestImplicitThis:
     def test_bare_field_name_resolves_to_this(self):

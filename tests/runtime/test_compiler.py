@@ -1,4 +1,4 @@
-"""Differential tests: the closure-compiling backend must be
+"""Differential tests: the code-generating backend must be
 observationally identical to the tree-walking interpreter."""
 
 import sys
@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.apps import APP_NAMES, app_device_factory, load_app
+from repro.lang.typecheck import JavaTypeError
 from repro.obs.profile import SamplingProfiler, installed_profiler, section_counts
 from repro.runtime import (
     ErrorInjector,
@@ -17,7 +18,7 @@ from repro.runtime import (
     StepBudgetExceeded,
 )
 from repro.runtime.compiler import CompiledProgram, CompiledRunner
-from repro.runtime.devices import ScriptedDevice
+from repro.runtime.devices import IterationKeyedDevice, ScriptedDevice
 from repro.runtime.injection import StepCounter
 from tests.conftest import analyze
 
@@ -152,13 +153,13 @@ class TestDifferentialFeatures:
         """Two runners on one ProgramInfo share its compiled program:
         each method body is compiled once, by whichever runs it first."""
         compiles = Counter()
-        compile_stmt = CompiledProgram.compile_stmt
+        generate = CompiledProgram.generate
 
-        def counting(program, stmt):
-            compiles[id(stmt)] += 1
-            return compile_stmt(program, stmt)
+        def counting(program, owner, decl):
+            compiles[(owner, decl.name)] += 1
+            return generate(program, owner, decl)
 
-        monkeypatch.setattr(CompiledProgram, "compile_stmt", counting)
+        monkeypatch.setattr(CompiledProgram, "generate", counting)
         app = load_app("mp3_decoder")
         runners = [
             CompiledRunner(app.info, app_device_factory("mp3_decoder", 4)())
@@ -168,14 +169,10 @@ class TestDifferentialFeatures:
             runner.run()
         assert runners[0].program is runners[1].program
         assert runners[0].program is app.info.compiled
-        bodies = {
-            (cls.name, method.name): method.body
-            for cls in app.info.classes.values() for method in cls.methods
-        }
-        compiled = {key for key, body in bodies.items() if compiles[id(body)]}
-        assert ("Mp3Decoder", "decodeGranule") in compiled
-        assert len(compiled) >= 3
-        assert all(compiles[id(bodies[key])] == 1 for key in compiled)
+        assert ("Mp3Decoder", "decodeGranule") in compiles
+        assert len(compiles) >= 3
+        assert set(compiles.values()) == {1}
+        assert set(compiles) == set(app.info.compiled.bodies)
 
 
 #: Exercises every engine-dependent value the compiled code reads: the
@@ -290,6 +287,211 @@ class TestSharedCompiledProgram:
                 options=RuntimeOptions(ignore_errors=True),
             ).run()
         assert section_counts(profiler.payload()) == {"interpreter.step": 2}
+
+
+#: ``buf`` is never assigned, so every ``insert`` and ``get`` is on
+#: null; both engines evaluate the arguments first, as Java does.
+NULL_BUFFER = '''
+class Main {
+  OrderedBuffer buf;
+  void run() {
+    SSJAVA:
+    while (true) {
+      buf.insert(Device.readFloat());
+      float x = Device.readFloat();
+      SJ.emit(x);
+      SJ.emit(buf.get(Device.readInt() + 1));
+    }
+  }
+}
+'''
+
+
+def loop_program(body: str) -> str:
+    """An event loop that reads ``v`` and emits ``acc`` after ``body``."""
+    return (
+        "class Main { void run() { SSJAVA: while (true) { "
+        "int v = Device.readSensor(); int acc = 0; "
+        f"{body} SJ.emit(acc); }} }} }}"
+    )
+
+
+def nested_sum(depth: int) -> str:
+    expr = "v"
+    for _ in range(depth):
+        expr = f"(v + {expr})"
+    return f"acc = {expr};"
+
+
+def nested_conjunction(depth: int) -> str:
+    cond = "v > 2"
+    for i in range(depth):
+        cond = f"(v * {i % 5} < 30 && {cond})" if i % 2 else f"(v - {i} < 9 || {cond})"
+    return f"if ({cond}) {{ acc = 1; }}"
+
+
+def nested_negation(depth: int) -> str:
+    return f"if ({'!(' * depth}v > 3{')' * depth}) {{ acc = 1; }}"
+
+
+def nested_ifs(depth: int, inner: str = "acc = acc + 1;") -> str:
+    body = inner
+    for i in range(depth):
+        body = f"if (v > {i % 7}) {{ {body} }} else {{ acc = acc - 1; }}"
+    return body
+
+
+def nested_fors(depth: int) -> str:
+    body = "acc = acc + 1; if (v > 5) { break; } if (v > 3) { continue; } acc = acc * 2;"
+    for i in range(depth):
+        body = f"for (int i{i} = 0; i{i} < 1; i{i}++) {{ {body} }}"
+    return body
+
+
+#: Programs nested past what one Python function may hold: the code
+#: generator moves deep parts into functions of their own, and jumps
+#: out of those parts must land where the tree-walker's do.
+DEEP_PROGRAMS = {
+    "sum-150": loop_program(nested_sum(150)),
+    "conjunction-150": loop_program(nested_conjunction(150)),
+    "negation-150": loop_program(nested_negation(150)),
+    "ifs-120": loop_program(nested_ifs(120)),
+    "fors-25": loop_program(nested_fors(25)),
+    "break-under-40-ifs": loop_program(
+        "for (int i = 0; i < 4; i++) { acc = acc + i; "
+        + nested_ifs(40, "if (i == v) { break; } if (i > 1) { continue; } acc = acc * 3;")
+        + " }"
+    ),
+    "event-loop-break-under-40-ifs": loop_program(
+        nested_ifs(40, "if (v == 7) { break; } if (v == 4) { continue; }")
+        + " acc = acc + 100;"
+    ),
+}
+
+
+def keyed_device():
+    return IterationKeyedDevice(lambda name, i, k: (i * 5 + k) % 9, iterations=9)
+
+
+class TestSemanticsCorners:
+    def test_null_buffer_arguments_evaluated_before_the_null_test(self):
+        info = analyze(NULL_BUFFER)
+        options = RuntimeOptions(ignore_errors=True, max_iterations=4)
+        interp, compiled = run_both(
+            info,
+            lambda: ScriptedDevice({
+                "readFloat": [float(i) for i in range(8)],
+                "readInt": [0, 1, 2, 3],
+            }),
+            options=options,
+        )
+        assert compiled == interp
+        values, _, errors = interp
+        assert values == [1.0, 0.0, 3.0, 0.0, 5.0, 0.0, 7.0, 0.0]
+        assert len(errors) == 8
+
+    @pytest.mark.parametrize("helper, body, message", [
+        ("", "if (v > 3) int x = v; SJ.emit(x);",
+         "variable declaration not allowed here"),
+        ("int stop(int i) { if (i > 1) { break; } return i; }",
+         "for (int i = 0; i < 3; i++) { SJ.emit(stop(i)); }",
+         "'break' outside a loop"),
+    ])
+    def test_reads_and_jumps_the_generated_code_cannot_meet(
+        self, helper, body, message
+    ):
+        """Generated code reads ``V[name]`` unchecked and runs its loops
+        without catching signals; the front end rejects the programs
+        where the tree-walker would report an unbound variable or end a
+        loop from a helper."""
+        source = (
+            f"class Main {{ {helper} void run() {{ SSJAVA: while (true) {{"
+            f" int v = Device.readSensor(); {body} }} }} }}"
+        )
+        with pytest.raises(JavaTypeError, match=message):
+            analyze(source)
+
+    @pytest.mark.parametrize("name", sorted(DEEP_PROGRAMS))
+    def test_deep_programs_identical(self, name):
+        info = analyze(DEEP_PROGRAMS[name])
+        options = RuntimeOptions(ignore_errors=True)
+        interp, compiled = run_both(info, keyed_device, options=options)
+        assert compiled == interp
+        sites = observe_run(Interpreter, info, [], options, StepCounter)[4]
+        for target in range(0, sites, max(1, sites // 7)):
+            interp, compiled = run_both(
+                info, keyed_device, options=options,
+                injector_factory=lambda: ErrorInjector(target, seed=target),
+            )
+            assert compiled == interp, target
+
+    def test_names_and_literals_cannot_escape_into_the_source(self):
+        """sjava names that are also names in the generated code, and
+        string literals that look like Python, stay data."""
+        source = r'''
+        class E {
+          int V;
+          int frame(int I) { return I + V; }
+        }
+        class Main {
+          E T = new E();
+          void run() {
+            SSJAVA:
+            while (true) {
+              int C = Device.readSensor();
+              int _t1 = T.frame(C);
+              String s = "'); E.sink.emit(666) #\" \\ \n";
+              SJ.emit(s + _t1);
+              T.V = _t1 % 7;
+            }
+          }
+        }
+        '''
+        info = analyze(source)
+        interp, compiled = run_both(info, keyed_device)
+        assert compiled == interp
+        literal = "'); E.sink.emit(666) #\" \\ \n"
+        assert interp[0][0] == literal + "0"
+        assert 666 not in compiled[0]
+        assert repr(literal) in info.compiled.sources[("Main", "run")]
+
+    def test_entry_method_without_its_argument(self):
+        """A parameter with no argument reads as unbound on both
+        engines."""
+        info = analyze("class Main { int twice(int n) { return n * 2; } }")
+        errors = []
+        for backend in (Interpreter, CompiledRunner):
+            with pytest.raises(SJavaRuntimeError) as caught:
+                backend(info, keyed_device()).run("Main", "twice")
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert "unbound variable 'n'" in errors[0]
+
+
+class TestProfileNames:
+    def test_samples_name_generated_functions_after_their_method(self):
+        """Profile rows read ``module.co_name``: generated functions
+        show as ``sjava.<Class>.<method>``."""
+        tid = threading.get_ident()
+        profiler = SamplingProfiler(
+            interval_seconds=0.005, frames=lambda: {tid: sys._getframe()}
+        )
+
+        class SamplingDevice(IterationKeyedDevice):
+            def read(self, name):
+                profiler.sample_now()
+                return super().read(name)
+
+        app = load_app("mp3_decoder")
+        device = SamplingDevice(app_device_factory("mp3_decoder", 1)().generator, 1)
+        with installed_profiler(profiler):
+            CompiledRunner(app.info, device).run()
+        stacks = {tuple(row["stack"]) for row in profiler.samples()}
+        frames = {frame for stack in stacks for frame in stack}
+        assert {
+            "sjava.Mp3Decoder.decode", "sjava.Mp3Decoder.decode.loop",
+            "sjava.Mp3Decoder.decodeGranule", "sjava.BitStream.readSample",
+        } <= frames
 
 
 class TestSpeed:

@@ -197,10 +197,50 @@ class TestTimeout:
         assert failure.reason == "timeout"
         assert outcomes[1] == {"value": 2}
 
+    def test_task_queued_behind_hung_workers_is_not_charged(self):
+        """Both workers hang, so the third task has not started when
+        the first times out; it runs on a fresh pool instead of being
+        charged the timeout it never had a worker for."""
+        pool = ResilientPool(max_workers=2, task_timeout=0.5,
+                             max_retries=0, sleep=lambda _: None)
+        outcomes = collect(
+            pool, _sleepy_or_double,
+            [{"seconds": 2.0}, {"seconds": 2.0}, {"value": 21}],
+        )
+        assert [outcomes[i].reason for i in (0, 1)] == ["timeout", "timeout"]
+        assert outcomes[2] == {"value": 42}
+        assert pool.attempts_of(2) == 1
+
+    def test_healthy_task_in_flight_beside_a_hung_one_runs_once(self, tmp_path):
+        """One worker hangs; the other runs a 0.8 s task, then starts a
+        0.6 s one just before the hung task times out.  The second
+        finishes in the grace the timeout gives it, on the pool it
+        started on, instead of running again on a fresh pool."""
+        pool = ResilientPool(max_workers=2, task_timeout=1.0,
+                             max_retries=0, sleep=lambda _: None)
+        outcomes = collect(
+            pool, _sleepy_or_marked,
+            [{"seconds": 2.0}, {"seconds": 0.8},
+             {"seconds": 0.6, "value": 21, "marks": str(tmp_path)}],
+        )
+        assert outcomes[0].reason == "timeout"
+        assert outcomes[1] == {"slept": True}
+        assert outcomes[2] == {"value": 42}
+        assert len(list(tmp_path.iterdir())) == 1
+
 
 def _sleepy_or_double(payload: dict) -> dict:
     if "seconds" in payload:
         return _sleepy(payload)
+    return _double(payload)
+
+
+def _sleepy_or_marked(payload: dict) -> dict:
+    """Sleep; with ``marks``, leave one file there per run and double."""
+    _sleepy(payload)
+    if "marks" not in payload:
+        return {"slept": True}
+    Path(payload["marks"], f"run-{os.getpid()}-{time.monotonic_ns()}").touch()
     return _double(payload)
 
 

@@ -1,29 +1,211 @@
 """Differential fuzzing of the two execution backends.
 
-Random well-formed programs (the generator from ``test_fuzz``) must
-produce byte-identical outputs, iteration marks and error logs on the
-tree-walking interpreter and the closure-compiling runner — in strict
-mode, in crash-avoidance mode, and under fault injection (site numbering
-must agree for injections to land identically).  Injection trials on
-the production path, which resume from the reference run's loop
-boundaries, must record exactly what the tree-walker's full runs do.
+Random well-formed programs must produce byte-identical outputs,
+iteration marks and error logs on the tree-walking interpreter and the
+code-generating runner — in strict mode, in crash-avoidance mode, and
+under fault injection (site numbering must agree for injections to land
+identically).  Two generators feed them: ``test_fuzz.programs`` (int
+state, stores and compound assignments) and :func:`rich_programs`
+below, which draws the constructs the code generator treats specially.
+Injection trials on the production path, which resume from the
+reference run's loop boundaries, must record exactly what the
+tree-walker's full runs do.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.apps import DIST_APP_NAMES
-from repro.runtime import ErrorInjector, Interpreter, RuntimeOptions
+from repro.runtime import (
+    ErrorInjector,
+    Interpreter,
+    RuntimeOptions,
+    SJavaRuntimeError,
+    StepBudgetExceeded,
+)
 from repro.runtime.campaign import trial_record
 from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import IterationKeyedDevice
 from repro.runtime.stabilization import StabilizationExperiment
 from tests.conftest import analyze
 from tests.test_fuzz import programs
+
+INTS = ["i0", "i1", "i2"]
+FLOATS = ["g0", "g1"]
+INT_FIELDS = ["n0", "n1"]
+FLOAT_FIELDS = ["x0"]
+
+
+@st.composite
+def rich_programs(draw):
+    """A random event-loop program over int, float, string and buffer
+    state: ``/`` and ``%`` with zero and negative operands, ``&&`` and
+    ``||`` whose right operand holds injection sites, inner loops with
+    ``break``, ``continue`` and ``@MAXLOOP`` overruns, a ``return`` from
+    inside a loop, ``SJ.toStr`` concatenation, ``Math`` calls, and
+    buffers of which some stay null."""
+    loop_vars = iter(range(100))
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def int_expr(depth: int = 0) -> str:
+        kind = pick(["var", "field", "lit", "neg"] + (
+            ["arith", "arith", "math", "get", "helper"] if depth < 2 else []
+        ))
+        if kind == "var":
+            return pick(INTS + ["inv"])
+        if kind == "field":
+            return pick(INT_FIELDS)
+        if kind == "lit":
+            return str(draw(st.integers(0, 9)))
+        if kind == "neg":
+            return f"(-{draw(st.integers(0, 4))})"
+        if kind == "arith":
+            op = pick(["+", "-", "*", "/", "%", "/", "%"])
+            return f"({int_expr(depth + 1)} {op} {int_expr(depth + 1)})"
+        if kind == "math":
+            name = pick(["abs", "min", "max", "round", "floor"])
+            if name == "abs":
+                return f"Math.abs({int_expr(depth + 1)})"
+            if name in ("min", "max"):
+                return f"Math.{name}({int_expr(depth + 1)}, {int_expr(depth + 1)})"
+            return f"Math.{name}({float_expr(depth + 1)})"
+        if kind == "get":
+            return f"ib.get(Math.abs({int_expr(depth + 1)}) % 3)"
+        return f"{pick(['firstAbove', 'countdown'])}({int_expr(depth + 1)})"
+
+    def float_expr(depth: int = 0) -> str:
+        kind = pick(["var", "field", "lit", "int"] + (
+            ["arith", "arith", "math", "get"] if depth < 2 else []
+        ))
+        if kind == "var":
+            return pick(FLOATS + ["fin"])
+        if kind == "field":
+            return pick(FLOAT_FIELDS)
+        if kind == "lit":
+            return pick(["0.0", "0.5", "2.25", "1000.0"])
+        if kind == "int":
+            return int_expr(depth + 1)
+        if kind == "arith":
+            op = pick(["+", "-", "*", "/", "%"])
+            return f"({float_expr(depth + 1)} {op} {float_expr(depth + 1)})"
+        if kind == "math":
+            name = pick(["cos", "sin", "sqrt", "abs", "exp", "pow"])
+            if name == "pow":
+                return f"Math.pow({float_expr(depth + 1)}, 0.5)"
+            return f"Math.{name}({float_expr(depth + 1)})"
+        return f"fb.get(Math.abs({int_expr(depth + 1)}) % 2)"
+
+    def cond(depth: int = 0) -> str:
+        kind = pick(["int", "float"] + (["and", "or", "not"] if depth < 2 else []))
+        if kind == "int":
+            return f"{int_expr(1)} {pick(['<', '>', '==', '!=', '<=', '>='])} {int_expr(1)}"
+        if kind == "float":
+            return f"{float_expr(1)} {pick(['<', '>', '>='])} {float_expr(1)}"
+        if kind == "not":
+            return f"!({cond(depth + 1)})"
+        op = "&&" if kind == "and" else "||"
+        # The right operand's arithmetic holds injection sites that run
+        # only when the left does not decide.
+        return f"({cond(depth + 1)} {op} {int_expr()} + 1 > {int_expr(1)})"
+
+    def statement(depth: int, loop: bool) -> str:
+        kinds = ["int", "float", "field", "compound", "emit", "string",
+                 "insert", "if"]
+        if depth < 2:
+            kinds += ["for", "while"]
+        if loop:
+            kinds += ["break", "continue"]
+        kind = pick(kinds)
+        if kind == "int":
+            # ints stay small, so nothing grows without bound
+            return f"{pick(INTS)} = ({int_expr()}) % 1000;"
+        if kind == "float":
+            return f"{pick(FLOATS)} = {float_expr()};"
+        if kind == "field":
+            if draw(st.booleans()):
+                return f"{pick(INT_FIELDS)} = ({int_expr()}) % 1000;"
+            return f"{pick(FLOAT_FIELDS)} = {float_expr()};"
+        if kind == "compound":
+            op = pick(["+=", "-=", "*=", "/="])
+            if draw(st.booleans()):
+                return f"{pick(FLOATS)} {op} {float_expr()};"
+            return f"{pick(INTS)} {op} {int_expr(1)};"
+        if kind == "emit":
+            return f"SJ.emit({pick([int_expr, float_expr])()});"
+        if kind == "string":
+            return f'SJ.emit("v=" + SJ.toStr({int_expr()}) + "," + {float_expr(1)});'
+        if kind == "insert":
+            if draw(st.booleans()):
+                return f"fb.insert({float_expr()});"
+            return f"ib.insert({int_expr()});"
+        if kind == "if":
+            then = body(depth + 1, loop)
+            other = f" else {{ {body(depth + 1, loop)} }}" if draw(st.booleans()) else ""
+            return f"if ({cond()}) {{ {then} }}{other}"
+        if kind == "break":
+            return f"if ({cond(1)}) {{ break; }}"
+        if kind == "continue":
+            return f"if ({cond(1)}) {{ continue; }}"
+        bound = f"@MAXLOOP({draw(st.integers(1, 4))}) " if draw(st.booleans()) else ""
+        var = f"j{next(loop_vars)}"
+        if kind == "for":
+            return (
+                f"{bound}for (int {var} = 0; {var} < {int_expr(1)}; {var}++) "
+                f"{{ {body(depth + 1, True)} }}"
+            )
+        return (
+            f"int {var} = {int_expr(1)}; "
+            f"{bound}while ({var} > 0) {{ {var} = {var} - 1; {body(depth + 1, True)} }}"
+        )
+
+    def body(depth: int, loop: bool) -> str:
+        count = draw(st.integers(1, 3 if depth else 6))
+        return " ".join(statement(depth, loop) for _ in range(count))
+
+    int_buffer = "new OrderedIntBuffer(3)" if draw(st.booleans()) else "null"
+    float_buffer = "new OrderedBuffer(2)" if draw(st.booleans()) else "null"
+    statements = body(0, False)
+    return f"""
+    class Rich {{
+      int n0; int n1 = 3; float x0 = 0.5;
+      OrderedIntBuffer ib = {int_buffer};
+      OrderedBuffer fb = {float_buffer};
+      void run() {{
+        SSJAVA:
+        while (true) {{
+          int inv = Device.readSensor();
+          float fin = Device.readFloat();
+          int i0 = inv; int i1 = inv - 4; int i2 = 0;
+          float g0 = fin; float g1 = 1.5;
+          {statements}
+          SJ.emit(n0 + n1);
+        }}
+      }}
+      int firstAbove(int n) {{
+        for (int q = 0; q < 6; q++) {{
+          if (q == 2) {{ continue; }}
+          if (q * n > 7) {{ return q; }}
+        }}
+        return -1;
+      }}
+      int countdown(int n) {{
+        int k = n % 5;
+        while (true) {{
+          k = k - 1;
+          if (k < 0) {{ return n; }}
+          if (k == 1) {{ break; }}
+        }}
+        return k;
+      }}
+    }}
+    """
 
 
 def device():
@@ -114,3 +296,56 @@ class TestDistributedBackendEquivalence:
                 trial_record(app, experiment.trial_at(site, seed=2))
             )
         assert records[0] == records[1]
+
+
+def rich_device():
+    def generator(name, iteration, index):
+        if name == "readFloat":
+            return (iteration * 7 + index) % 11 - 5.5
+        return (iteration * 13 + index) % 17 - 8
+
+    return IterationKeyedDevice(generator, iterations=6)
+
+
+def observe_rich(backend, info, options, injector=None):
+    """Everything a run shows, the error that ended it included, as
+    text: a NaN output equals itself only by ``repr``."""
+    engine = backend(info, rich_device(), options=options, injector=injector)
+    try:
+        engine.run()
+        error = None
+    except (SJavaRuntimeError, StepBudgetExceeded, ArithmeticError,
+            TypeError) as exc:
+        error = (type(exc).__name__, str(exc))
+    return repr((
+        engine.sink.values, engine.iteration_marks, engine.error_log,
+        engine.steps, error,
+    ))
+
+
+#: Crash avoidance with a small inner-loop bound, so loops overrun.
+RICH_OPTIONS = RuntimeOptions(ignore_errors=True, inner_loop_bound=6)
+
+
+class TestRichPrograms:
+    @given(rich_programs())
+    @settings(max_examples=60, deadline=None)
+    def test_clean_runs_identical(self, source):
+        info = analyze(source)
+        for options in (RICH_OPTIONS, RuntimeOptions(inner_loop_bound=6)):
+            assert observe_rich(Interpreter, info, options) == observe_rich(
+                CompiledRunner, info, options
+            )
+
+    @given(rich_programs(), st.integers(0, 400), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_injected_runs_identical(self, source, target, burst):
+        info = analyze(source)
+        results, injectors = [], []
+        for backend in (Interpreter, CompiledRunner):
+            injector = ErrorInjector(target_step=target, seed=target, burst=burst)
+            injectors.append(injector)
+            results.append(observe_rich(backend, info, RICH_OPTIONS, injector))
+        assert results[0] == results[1]
+        assert injectors[0].step == injectors[1].step
+        assert injectors[0].injected_at == injectors[1].injected_at
