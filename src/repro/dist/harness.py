@@ -20,6 +20,13 @@ with single-node experiments
 ``repro.runtime.campaign`` sweep distributed apps with no new worker
 protocol.
 
+A round boundary's state is the tuple of node states: coins and
+schedules are pure functions of (seed, round, node), so two runs in
+the same states at the end of a round run identically from there on.
+On the production engine a trial therefore starts at its fault's round
+from the reference's states and stops once its states equal the
+reference's again (:meth:`DistExperiment._injected_run`).
+
 A round counts against a trial when its node states differ from the
 reference's *and* fail the app's *legitimacy predicate* (a closed set
 of states), because randomized protocols (Herman) recover to the
@@ -31,15 +38,21 @@ with the classic notion.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Iterator, Optional
 
 from repro.lang.symtab import ProgramInfo
 from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import IterationKeyedDevice
 from repro.runtime.injection import ErrorInjector, StepCounter
 from repro.runtime.interpreter import RuntimeOptions, state_digest
-from repro.runtime.stabilization import InjectedRun, TrialLifecycle
+from repro.runtime.stabilization import (
+    InjectedRun,
+    TrialLifecycle,
+    check_step_budget,
+)
 
 from repro.dist.scheduler import Scheduler
 from repro.dist.topology import Topology
@@ -72,9 +85,16 @@ class NodeView:
     state: tuple
     left_state: tuple
     neighbor_states: list[tuple]
-    coin: int
     params: dict
     topology: Topology
+    #: The fabric's seed, which :attr:`coin` is drawn from.
+    seed: int
+
+    @property
+    def coin(self) -> int:
+        """This round's coin (:func:`coin_bit`), drawn only when the
+        program reads it."""
+        return coin_bit(self.seed, self.round_index, self.node)
 
 
 class _RoundInjector:
@@ -84,20 +104,19 @@ class _RoundInjector:
     Every activation is iteration 0 of a fresh engine run, so the
     interpreter's own ``begin_iteration(0)`` calls are dropped and the
     fabric advances the inner injector's clock once per round —
-    ``injection_iteration`` then records the fabric *round*.
+    ``injection_iteration`` then records the fabric *round*.  Sites go
+    straight to the inner injector.
     """
 
     def __init__(self, inner: ErrorInjector | StepCounter) -> None:
         self.inner = inner
+        self.site = inner.site
 
     def begin_round(self, round_index: int) -> None:
         self.inner.begin_iteration(round_index)
 
     def begin_iteration(self, iteration: int) -> None:  # noqa: ARG002
         pass
-
-    def site(self, value: object, node: object) -> object:
-        return self.inner.site(value, node)
 
 
 @dataclass
@@ -108,6 +127,12 @@ class SimResult:
     trajectory: list[tuple[tuple, ...]]
     steps: int
     errors: int
+    #: The meters at the end of each round, cumulative from the first:
+    #: steps, ignored errors, and the sites seen by each node's
+    #: injector (``round_sites[r][node]``, for the nodes that carry one).
+    round_steps: list[int] = field(default_factory=list)
+    round_errors: list[int] = field(default_factory=list)
+    round_sites: list[dict[int, int]] = field(default_factory=list)
 
     def node_trace(self, node: int) -> list[tuple]:
         return [states[node] for states in self.trajectory]
@@ -145,9 +170,11 @@ class DistExperiment(TrialLifecycle):
     """Reference + injected fabric simulations of one distributed app.
 
     Trials follow :class:`~repro.runtime.stabilization.TrialLifecycle`:
-    an injected run simulates the whole horizon with the injector on
-    one node, and its trajectory is compared with the reference's as
-    one group of N node states per round.
+    an injected run carries the injector on one node, and its
+    trajectory is compared with the reference's as one group of N node
+    states per round.  On the production engine the run covers only
+    the rounds from its fault to its re-convergence
+    (:meth:`_injected_run`).
     """
 
     spec: DistAppSpec
@@ -176,6 +203,12 @@ class DistExperiment(TrialLifecycle):
     def horizon(self) -> int:
         return self.rounds + self.recovery_window
 
+    @cached_property
+    def params(self) -> dict:
+        """The app's protocol parameters on this topology (a pure
+        function of it, so computed once)."""
+        return self.spec.params(self.topology)
+
     def _view(
         self, node: int, round_index: int, states: list[tuple]
     ) -> NodeView:
@@ -188,9 +221,9 @@ class DistExperiment(TrialLifecycle):
             state=states[node],
             left_state=states[left],
             neighbor_states=[states[j] for j in topo.neighbors[node]],
-            coin=coin_bit(self.seed, round_index, node),
-            params=self.spec.params(topo),
+            params=self.params,
             topology=topo,
+            seed=self.seed,
         )
 
     def _activate(
@@ -226,6 +259,47 @@ class DistExperiment(TrialLifecycle):
             new_state = states[node]
         return new_state, engine.steps, len(engine.error_log)
 
+    def _initial_states(self) -> list[tuple]:
+        return [self.spec.init(i, self.topology) for i in range(self.nodes)]
+
+    def _rounds(
+        self,
+        rounds: range,
+        states: list[tuple],
+        injectors: dict[int, _RoundInjector],
+        step_budget: Optional[int],
+        steps: int = 0,
+        errors: int = 0,
+    ) -> Iterator[tuple[int, int]]:
+        """Run ``rounds`` on ``states``, committing in place, and yield
+        the cumulative steps and errors after each round; they start at
+        ``steps`` and ``errors``, and each activation's budget is what
+        ``step_budget`` leaves of them.  Raises
+        :class:`StepBudgetExceeded` when it runs out."""
+        topo = self.topology
+        synchronous = self.scheduler.synchronous
+        for r in rounds:
+            for injector in injectors.values():
+                injector.begin_round(r)
+            source = list(states) if synchronous else states
+            staged: dict[int, tuple] = {}
+            for node in self.scheduler.order(r, topo.nodes):
+                budget = (
+                    step_budget - steps if step_budget is not None else None
+                )
+                new_state, used, errs = self._activate(
+                    node, r, source, injectors.get(node), budget
+                )
+                steps += used
+                errors += errs
+                if synchronous:
+                    staged[node] = new_state
+                else:
+                    states[node] = new_state
+            for node, new_state in staged.items():
+                states[node] = new_state
+            yield steps, errors
+
     def simulate(
         self,
         rounds: int,
@@ -240,45 +314,34 @@ class DistExperiment(TrialLifecycle):
         :class:`StepBudgetExceeded` when the cumulative step budget runs
         out."""
         injectors = injectors or {}
-        topo = self.topology
-        states: list[tuple] = list(
-            initial
-            if initial is not None
-            else [self.spec.init(i, topo) for i in range(topo.nodes)]
+        states = (
+            list(initial) if initial is not None else self._initial_states()
         )
-        trajectory: list[tuple[tuple, ...]] = []
-        steps = 0
-        errors = 0
-        for r in range(start_round, start_round + rounds):
-            for injector in injectors.values():
-                injector.begin_round(r)
-            order = self.scheduler.order(r, topo.nodes)
-            source = list(states) if self.scheduler.synchronous else states
-            staged: dict[int, tuple] = {}
-            for node in order:
-                budget = (
-                    step_budget - steps if step_budget is not None else None
-                )
-                new_state, used, errs = self._activate(
-                    node, r, source, injectors.get(node), budget
-                )
-                steps += used
-                errors += errs
-                if self.scheduler.synchronous:
-                    staged[node] = new_state
-                else:
-                    states[node] = new_state
-            if self.scheduler.synchronous:
-                for node, new_state in staged.items():
-                    states[node] = new_state
-            trajectory.append(tuple(states))
-        return SimResult(trajectory=trajectory, steps=steps, errors=errors)
+        sim = SimResult(trajectory=[], steps=0, errors=0)
+        for steps, errors in self._rounds(
+            range(start_round, start_round + rounds),
+            states, injectors, step_budget,
+        ):
+            sim.trajectory.append(tuple(states))
+            sim.steps, sim.errors = steps, errors
+            sim.round_steps.append(steps)
+            sim.round_errors.append(errors)
+            sim.round_sites.append({
+                node: injector.inner.step
+                for node, injector in injectors.items()
+            })
+        return sim
 
     # -- reference + site bookkeeping ------------------------------------
 
     def reference(self) -> SimResult:
+        """The clean run over the horizon.  A :class:`StepCounter` on
+        every node counts its sites, round by round."""
         if self._reference is None:
-            self._reference = self.simulate(self.horizon())
+            self._reference = self.simulate(self.horizon(), injectors={
+                node: _RoundInjector(StepCounter())
+                for node in range(self.nodes)
+            })
         return self._reference
 
     def reference_steps(self) -> int:
@@ -287,13 +350,12 @@ class DistExperiment(TrialLifecycle):
     def node_site_counts(self) -> list[int]:
         """Injectable sites per node across the injection horizon."""
         if self._site_counts is None:
-            counters = {
-                node: _RoundInjector(StepCounter())
-                for node in range(self.nodes)
-            }
-            self.simulate(self.rounds, injectors=counters)
+            sites = (
+                self.reference().round_sites[self.rounds - 1]
+                if self.rounds else {}
+            )
             self._site_counts = [
-                counters[node].inner.step for node in range(self.nodes)
+                sites.get(node, 0) for node in range(self.nodes)
             ]
         return self._site_counts
 
@@ -336,40 +398,89 @@ class DistExperiment(TrialLifecycle):
         budget: Optional[int],
         span,
     ) -> InjectedRun:
-        """The fabric over the whole horizon with ``injector`` on
-        ``node``.  A round's group is judged correct when its states
-        equal the reference's or are legitimate."""
-        if injector.target_step < self.node_site_counts()[node]:
-            sim = self.simulate(
-                self.horizon(),
-                injectors={node: _RoundInjector(injector)},
-                step_budget=budget,
-            )
-        else:
+        """The fabric with ``injector`` on ``node``.
+
+        On the production engine the run starts at ``start``, the round
+        holding the target site, from the reference's states, meters and
+        site count before it (the rounds before are the reference's
+        verbatim).  Once the injector is spent, a round whose states
+        equal the reference's ends it (``stop``), and the reference's
+        remaining rounds, steps and errors are spliced in.  The
+        tree-walking oracle simulates the whole horizon.  A target past
+        the node's site count never fires, so its run is the
+        reference."""
+        reference = self.reference()
+        clean = reference.trajectory
+        span.set_attr("resumed_at", None)
+        span.set_attr("stopped_at", None)
+        if injector.target_step >= self.node_site_counts()[node]:
             # The composite site space covers the injection horizon
             # (``self.rounds``) only; an over-large target must never
-            # fire, not even inside the recovery window, so its run is
-            # the reference.
-            sim = self.reference()
-        reference = self.reference_groups()
-        params = self.spec.params(self.topology)
-        judged = [
-            clean
-            if states == clean or self.spec.legitimate(
-                list(states), list(clean), self.topology, params
+            # fire, not even inside the recovery window.
+            return InjectedRun(clean, clean, reference.steps, reference.errors)
+        injectors = {node: _RoundInjector(injector)}
+        if not issubclass(self.engine, CompiledRunner):
+            sim = self.simulate(
+                self.horizon(), injectors=injectors, step_budget=budget
             )
-            else states
-            for states, clean in zip(sim.trajectory, reference)
-        ]
+            return self._judge(sim, 0, None)
+        start = bisect_right(
+            [sites[node] for sites in reference.round_sites],
+            injector.target_step,
+        )
+        span.set_attr("resumed_at", start)
+        if start:
+            states = list(clean[start - 1])
+            injector.step = reference.round_sites[start - 1][node]
+            steps = reference.round_steps[start - 1]
+            errors = reference.round_errors[start - 1]
+        else:
+            states, steps, errors = self._initial_states(), 0, 0
+        trajectory = clean[:start]
+        stop = None
+        for steps, errors in self._rounds(
+            range(start, self.horizon()), states, injectors, budget,
+            steps, errors,
+        ):
+            r = len(trajectory)
+            trajectory.append(tuple(states))
+            if injector.spent and trajectory[r] == clean[r]:
+                stop = r + 1
+                span.set_attr("stopped_at", stop)
+                steps += reference.steps - reference.round_steps[r]
+                errors += reference.errors - reference.round_errors[r]
+                check_step_budget(steps, budget)
+                trajectory += clean[stop:]
+                break
+        return self._judge(SimResult(trajectory, steps, errors), start, stop)
+
+    def _judge(
+        self, sim: SimResult, start: int, stop: Optional[int]
+    ) -> InjectedRun:
+        """``sim`` as a trial run that executed rounds ``start`` up to
+        ``stop`` (None: the horizon); its other rounds are the
+        reference's own.  A round's group is judged correct when its
+        states equal the reference's or are legitimate."""
+        reference = self.reference_groups()
+        judged = list(reference)
+        node_divergence = [[0] * self.nodes for _ in reference]
+        for r in range(start, len(reference) if stop is None else stop):
+            states, clean = sim.trajectory[r], reference[r]
+            if states == clean:
+                continue
+            node_divergence[r] = [int(a != b) for a, b in zip(states, clean)]
+            if not self.spec.legitimate(
+                list(states), list(clean), self.topology, self.params
+            ):
+                judged[r] = states
         return InjectedRun(
             sim.trajectory, judged, sim.steps, sim.errors,
             telemetry={
-                "node_divergence": [
-                    [int(a != b) for a, b in zip(states, clean)]
-                    for states, clean in zip(sim.trajectory, reference)
-                ],
+                "node_divergence": node_divergence,
                 "node_digests": [
                     sim.node_digest(i) for i in range(self.nodes)
                 ],
             },
+            start=start,
+            stop=stop,
         )

@@ -464,13 +464,20 @@ def aggregate_report(
 # ---------------------------------------------------------------------------
 
 
+def _shard_text(shard_id: str, record: dict) -> str:
+    """One manifest entry, ``"id": {...}``, as ``json.dumps`` of the
+    whole manifest writes it."""
+    return json.dumps({shard_id: record})[1:-1]
+
+
 @dataclass
 class CampaignRunner:
     """Drives one campaign to completion, surviving interruptions.
 
     The manifest at ``checkpoint_path`` (optional) is rewritten
-    atomically after every settled shard; a rerun with the same config
-    skips everything the manifest already holds.  A manifest written by
+    atomically after every settled shard, from each record's JSON text
+    encoded once; a rerun with the same config skips everything the
+    manifest already holds.  A manifest written by
     a *different* config is refused unless ``fresh=True`` discards it.
     """
 
@@ -499,6 +506,14 @@ class CampaignRunner:
     #: Whether the last checkpoint write was torn (by injection); the
     #: next good save reports the self-heal.
     _torn: bool = field(default=False, init=False)
+    #: With a checkpoint, the manifest's JSON text up to its shards, and
+    #: each shard record's text (``"id": {...}``) in manifest order,
+    #: encoded once when the shard is loaded or settles; a save joins
+    #: them into the bytes ``json.dumps`` of the manifest would give.
+    _head: str = field(default="", init=False, repr=False)
+    _texts: dict[str, str] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def run(self) -> dict:
         self._chaos = get_chaos()
@@ -520,6 +535,14 @@ class CampaignRunner:
             "site_totals": site_totals,
             "shards": records,
         }
+        if self.checkpoint_path is not None:
+            head = dict(self._manifest)
+            del head["shards"]
+            self._head = json.dumps(head)[:-1] + ', "shards": {'
+            self._texts = {
+                shard_id: _shard_text(shard_id, record)
+                for shard_id, record in records.items()
+            }
         pending = [s for s in planned if s.shard_id not in records]
         self._note(
             f"campaign: {len(planned)} shards planned, "
@@ -720,6 +743,8 @@ class CampaignRunner:
                 peak_rss_bytes=obs["peak_rss_bytes"],
             )
         self._manifest["shards"][shard.shard_id] = record
+        if self.checkpoint_path is not None:
+            self._texts[shard.shard_id] = _shard_text(shard.shard_id, record)
         self._save_manifest()
 
     # -- checkpointing ---------------------------------------------------
@@ -767,7 +792,7 @@ class CampaignRunner:
             return
         path = Path(self.checkpoint_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(self._manifest)
+        blob = self._head + ", ".join(self._texts.values()) + "}}"
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         torn = self._chaos.torn_write(
             "manifest.checkpoint",

@@ -430,11 +430,17 @@ class Resume:
         engine.error_log += trace.error_log[boundary.errors:]
         engine.iteration = trace.iterations
         engine.steps += trace.steps - boundary.steps
-        budget = engine.options.step_budget
-        if budget is not None and engine.steps > budget:
-            raise StepBudgetExceeded(
-                f"step budget of {budget} execution steps exhausted"
-            )
+        check_step_budget(engine.steps, engine.options.step_budget)
+
+
+def check_step_budget(steps: int, budget: Optional[int]) -> None:
+    """The step budget's verdict on a resumed run's spliced step total:
+    a full run would have exceeded the budget exactly when that total
+    does."""
+    if budget is not None and steps > budget:
+        raise StepBudgetExceeded(
+            f"step budget of {budget} execution steps exhausted"
+        )
 
 
 @dataclass

@@ -6,9 +6,11 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.runtime import campaign
 from repro.runtime.campaign import (
     DIVERGED,
     MASKED,
@@ -239,6 +241,37 @@ class TestCampaignRun:
         final = CampaignRunner(config=config, checkpoint_path=checkpoint)
         report = final.run()
         assert report["complete"] is True
+
+    def test_checkpoint_encodes_each_record_once(self, tmp_path, monkeypatch):
+        """A save joins texts encoded when their shard was loaded or
+        settled, and the file still equals ``json.dumps`` of the
+        manifest, after a run and after a resumed run."""
+        encoded = []
+
+        def dumps(obj, *args, **kwargs):
+            encoded.append(obj)
+            return json.dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(
+            campaign, "json", SimpleNamespace(dumps=dumps, loads=json.loads)
+        )
+        config = small_config()
+        checkpoint = tmp_path / "ck.json"
+        for stop in (2, None):
+            encoded.clear()
+            runner = CampaignRunner(config=config, checkpoint_path=checkpoint,
+                                    stop_after_shards=stop)
+            runner.run()
+            shards = runner._manifest["shards"]
+            assert checkpoint.read_text() == json.dumps(runner._manifest)
+            assert not any("shards" in obj for obj in encoded
+                           if isinstance(obj, dict))
+            records = [
+                obj for obj in encoded
+                if isinstance(obj, dict) and obj.keys() <= shards.keys()
+            ]
+            assert [next(iter(obj)) for obj in records] == list(shards)
+        assert runner.executed_shards == 2 and len(shards) == 4
 
     def test_parallel_run_matches_in_process_run(self, tmp_path):
         config = small_config(shard_size=4)
