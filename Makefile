@@ -51,6 +51,8 @@ examples:
 	$(PYTHON) examples/lifetime_bounds.py
 	$(PYTHON) examples/program_understanding.py wind_sensor
 	$(PYTHON) examples/mp3_fault_injection.py
+	out=$$(mktemp -d) && $(PYTHON) examples/stabilization_report.py $$out \
+	  && rm -rf $$out
 
 check-apps:
 	for f in src/repro/apps/programs/*.sj; do \

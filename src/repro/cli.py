@@ -336,19 +336,26 @@ def cmd_inject(args: argparse.Namespace) -> int:
     return 1 if verdicts[DIVERGED] > 0 else 0
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.apps import APP_NAMES
+def _app_names(spec: str, every: tuple[str, ...]) -> tuple[str, ...]:
+    """An ``--apps`` value: ``all`` for ``every``, else the
+    comma-separated names."""
+    if spec == "all":
+        return every
+    return tuple(name.strip() for name in spec.split(",") if name.strip())
 
-    apps = (
-        tuple(APP_NAMES) if args.apps == "all"
-        else tuple(name.strip() for name in args.apps.split(",") if name.strip())
-    )
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(
-            _observed(args, "repro.campaign", mode=args.mode, jobs=args.jobs)
-        )
-        status = _run_campaign(args, apps)
-    # After the stack closes: the driver's trace writer is flushed and
+
+def cmd_campaign(args: argparse.Namespace) -> int:
+    """``repro campaign`` (``all``: the single-node apps) and ``repro
+    dist campaign`` (``all``: the distributed apps)."""
+    from repro.apps import APP_NAMES, DIST_APP_NAMES
+
+    if args.command == "dist":
+        every, root = DIST_APP_NAMES, "repro.dist.campaign"
+    else:
+        every, root = APP_NAMES, "repro.campaign"
+    with _observed(args, root, mode=args.mode, jobs=args.jobs):
+        status = _run_campaign(args, _app_names(args.apps, every))
+    # After the span closes: the driver's trace writer is flushed and
     # closed, so the worker files can be folded in.
     _merge_worker_traces(args)
     return status
@@ -525,15 +532,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                     progress=progress,
                 )
             else:
-                apps = (
-                    tuple(all_app_names()) if args.apps == "all"
-                    else tuple(
-                        name.strip() for name in args.apps.split(",")
-                        if name.strip()
-                    )
-                )
                 config = CampaignConfig(
-                    apps=apps,
+                    apps=_app_names(args.apps, all_app_names()),
                     mode=args.mode,
                     trials=args.trials,
                     strata=args.strata,
@@ -665,21 +665,6 @@ def cmd_dist_run(args: argparse.Namespace) -> int:
                 f"digest={reference.node_digest(node)}"
             )
         return 0
-
-
-def cmd_dist_campaign(args: argparse.Namespace) -> int:
-    from repro.apps import DIST_APP_NAMES
-
-    apps = (
-        tuple(DIST_APP_NAMES) if args.apps == "all"
-        else tuple(name.strip() for name in args.apps.split(",") if name.strip())
-    )
-    with _observed(
-        args, "repro.dist.campaign", mode=args.mode, jobs=args.jobs
-    ):
-        status = _run_campaign(args, apps)
-    _merge_worker_traces(args)
-    return status
 
 
 def cmd_lattices(args: argparse.Namespace) -> int:
@@ -1356,7 +1341,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(default: all distributed apps)")
     _add_campaign_arguments(dist_campaign)
     _add_obs_arguments(dist_campaign)
-    dist_campaign.set_defaults(func=cmd_dist_campaign)
+    dist_campaign.set_defaults(func=cmd_campaign)
 
     lattices = sub.add_parser("lattices", help="render location lattices")
     lattices.add_argument("file")

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.lang import ast
-from repro.lang.symtab import MethodCall, ProgramInfo
+from repro.lang.symtab import ProgramInfo
 
 MethodKey = tuple[str, str]  # (class name, method name)
 
@@ -86,26 +85,18 @@ class CallGraph:
 
 
 def build_call_graph(info: ProgramInfo) -> CallGraph:
-    """Build the program call graph with dynamic dispatch expanded: a call
-    whose static receiver type is C may reach the override in any subclass
-    of C."""
+    """Build the program call graph from the calls the type checker
+    recorded (``info.method_calls``), with dynamic dispatch expanded: a
+    call whose static receiver type is C may reach the override in any
+    subclass of C."""
     graph = CallGraph()
     for cls in info.program.classes:
         for method in cls.methods:
             caller: MethodKey = (cls.name, method.name)
-            graph.edges.setdefault(caller, set())
-            calls = [
-                expr
-                for stmt in ast.walk_stmts(method.body)
-                for expr in ast.walk_exprs(*ast.iter_stmt_exprs(stmt))
-                if isinstance(expr, ast.Call)
-            ]
-            for call in calls:
-                target = info.call_targets.get(call.uid)
-                if not isinstance(target, MethodCall):
-                    continue
+            callees = graph.edges.setdefault(caller, set())
+            for call in info.method_calls.get(caller, ()):
                 for owner, decl in info.overriding_decls(
-                    target.receiver_class, target.decl.name
+                    call.receiver_class, call.decl.name
                 ):
-                    graph.edges[caller].add((owner, decl.name))
+                    callees.add((owner, decl.name))
     return graph

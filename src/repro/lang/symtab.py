@@ -58,7 +58,12 @@ class ProgramInfo:
     var_decls: dict[int, Declaration] = field(default_factory=dict)
     #: Resolved field accesses: FieldAccess uid -> (owner class, decl).
     field_refs: dict[int, tuple[str, ast.FieldDecl]] = field(default_factory=dict)
-    #: Enclosing (class name, method) for each method body statement uid.
+    #: Each method's resolved user-method calls, in walk order, keyed
+    #: by (class name, method name): the call graph before dispatch.
+    method_calls: dict[tuple[str, str], list[MethodCall]] = field(
+        default_factory=dict
+    )
+    #: The loops labelled as the main event loop, in source order.
     event_loops: list[EventLoop] = field(default_factory=list)
     #: The execution backend's generated code
     #: (``repro.runtime.compiler.CompiledProgram``), made on the first

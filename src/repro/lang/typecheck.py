@@ -1,20 +1,21 @@
 """Conventional (Java-level) type checking for sjava programs.
 
 SJava's location type checking is *independent* of standard Java typing
-(Section 4.1); this module provides the standard half.  It runs two
-passes:
+(Section 4.1); this module provides the standard half.  It walks each
+method body once, and as it assigns a semantic type to every expression
+it also:
 
-1. a normalization pass that resolves bare identifiers — rewriting
-   ``fieldName`` to ``this.fieldName`` (Java's implicit ``this``) — and
-   enforces the mini-language's no-shadowing rule and Java's placement
-   rules: no declaration as the whole body of an ``if``, ``else`` or
-   loop, and no ``break`` or ``continue`` outside a loop;
-2. a type checking pass that assigns a semantic type to every expression,
-   resolves calls and field accesses, and validates standard typing
-   rules.
+- resolves bare identifiers, rewriting ``fieldName`` to
+  ``this.fieldName`` (Java's implicit ``this``) in the tree;
+- enforces the mini-language's no-shadowing rule and Java's placement
+  rules: no declaration as the whole body of an ``if``, ``else`` or
+  loop, and no ``break`` or ``continue`` outside a loop;
+- resolves calls and field accesses and validates standard typing rules.
 
-Both passes record their results into the shared
-:class:`repro.lang.symtab.ProgramInfo`.
+The first error in that walk is the one reported.  Results go into the
+shared :class:`repro.lang.symtab.ProgramInfo`, including each method's
+resolved user-method calls, from which
+:func:`repro.lang.callgraph.build_call_graph` builds the call graph.
 """
 
 from __future__ import annotations
@@ -47,169 +48,37 @@ class JavaTypeError(Exception):
 FRONT_END_ERRORS = (LexError, ParseError, ResolveError, JavaTypeError)
 
 
-# ---------------------------------------------------------------------------
-# Pass 1: identifier normalization
-# ---------------------------------------------------------------------------
-
-
-class _Normalizer:
-    """Rewrites bare field references to explicit ``this.field`` accesses."""
-
-    def __init__(self, info: ProgramInfo, class_name: str, method: ast.MethodDecl):
-        self.info = info
-        self.class_name = class_name
-        self.method = method
-        self.declared: set[str] = set()
-        self.scopes: list[set[str]] = [set()]
-        #: How many loops enclose the statement being normalized.
-        self.loops = 0
-
-    def run(self) -> None:
-        for param in self.method.params:
-            self._declare(param.name, param)
-        self._normalize_stmt(self.method.body)
-
-    def _declare(self, name: str, node: ast.Node) -> None:
-        if name in self.declared:
-            raise JavaTypeError(
-                f"variable {name!r} is declared more than once in "
-                f"method {self.method.name!r} (shadowing is not supported)",
-                node,
-            )
-        self.declared.add(name)
-        self.scopes[-1].add(name)
-
-    def _in_scope(self, name: str) -> bool:
-        return any(name in scope for scope in self.scopes)
-
-    def _push(self) -> None:
-        self.scopes.append(set())
-
-    def _pop(self) -> None:
-        for name in self.scopes.pop():
-            self.declared.discard(name)
-
-    # Note: names are unique per method, so popping a scope re-permits the
-    # name only for *later* declarations, preserving Java semantics for
-    # straight-line code while keeping analyses name-keyed.
-
-    def _normalize_body(self, stmt: ast.Stmt, loop: bool = False) -> None:
-        """Normalize the body of an ``if``, ``else`` or loop.  As in Java,
-        a declaration may not be the whole body: it would declare a name
-        in the enclosing scope that a skipped body leaves unbound."""
-        if isinstance(stmt, ast.VarDecl):
-            raise JavaTypeError("variable declaration not allowed here", stmt)
-        self.loops += loop
-        try:
-            self._normalize_stmt(stmt)
-        finally:
-            self.loops -= loop
-
-    def _normalize_stmt(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Block):
-            self._push()
-            for child in stmt.stmts:
-                self._normalize_stmt(child)
-            self._pop()
-        elif isinstance(stmt, ast.VarDecl):
-            if stmt.init is not None:
-                stmt.init = self._normalize_expr(stmt.init)
-            self._declare(stmt.name, stmt)
-        elif isinstance(stmt, ast.Assign):
-            stmt.target = self._normalize_expr(stmt.target)
-            stmt.value = self._normalize_expr(stmt.value)
-        elif isinstance(stmt, ast.If):
-            stmt.cond = self._normalize_expr(stmt.cond)
-            self._normalize_body(stmt.then_body)
-            if stmt.else_body is not None:
-                self._normalize_body(stmt.else_body)
-        elif isinstance(stmt, ast.While):
-            stmt.cond = self._normalize_expr(stmt.cond)
-            self._normalize_body(stmt.body, loop=True)
-        elif isinstance(stmt, ast.For):
-            self._push()
-            if stmt.init is not None:
-                self._normalize_stmt(stmt.init)
-            if stmt.cond is not None:
-                stmt.cond = self._normalize_expr(stmt.cond)
-            if stmt.update is not None:
-                self._normalize_stmt(stmt.update)
-            self._normalize_body(stmt.body, loop=True)
-            self._pop()
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                stmt.value = self._normalize_expr(stmt.value)
-        elif isinstance(stmt, ast.ExprStmt):
-            stmt.expr = self._normalize_expr(stmt.expr)
-        elif isinstance(stmt, (ast.Break, ast.Continue)):
-            if not self.loops:
-                # Java's rule; the engines then never carry a jump out
-                # of the method it is written in.
-                keyword = type(stmt).__name__.lower()
-                raise JavaTypeError(f"{keyword!r} outside a loop", stmt)
-        else:  # pragma: no cover - defensive
-            raise JavaTypeError(f"unhandled statement {type(stmt).__name__}", stmt)
-
-    def _normalize_expr(self, expr: ast.Expr) -> ast.Expr:
-        if isinstance(expr, ast.VarRef):
-            if self._in_scope(expr.name):
-                return expr
-            if self.info.find_field(self.class_name, expr.name) is not None:
-                this = ast.ThisRef(line=expr.line, col=expr.col)
-                return ast.FieldAccess(
-                    obj=this, field_name=expr.name, line=expr.line, col=expr.col
-                )
-            raise JavaTypeError(f"unknown identifier {expr.name!r}", expr)
-        if isinstance(expr, ast.FieldAccess):
-            expr.obj = self._normalize_expr(expr.obj)
-            return expr
-        if isinstance(expr, ast.ArrayAccess):
-            expr.array = self._normalize_expr(expr.array)
-            expr.index = self._normalize_expr(expr.index)
-            return expr
-        if isinstance(expr, ast.ArrayLength):
-            expr.array = self._normalize_expr(expr.array)
-            return expr
-        if isinstance(expr, ast.Unary):
-            expr.operand = self._normalize_expr(expr.operand)
-            return expr
-        if isinstance(expr, ast.Binary):
-            expr.left = self._normalize_expr(expr.left)
-            expr.right = self._normalize_expr(expr.right)
-            return expr
-        if isinstance(expr, ast.Call):
-            receiver = expr.receiver
-            if isinstance(receiver, ast.VarRef) and not self._in_scope(receiver.name):
-                if receiver.name in NAMESPACES or receiver.name in self.info.classes:
-                    pass  # namespace / static call target, left intact
-                else:
-                    expr.receiver = self._normalize_expr(receiver)
-            elif receiver is not None:
-                expr.receiver = self._normalize_expr(receiver)
-            expr.args = [self._normalize_expr(arg) for arg in expr.args]
-            return expr
-        if isinstance(expr, ast.New):
-            expr.args = [self._normalize_expr(arg) for arg in expr.args]
-            return expr
-        if isinstance(expr, ast.NewArray):
-            expr.size = self._normalize_expr(expr.size)
-            return expr
-        return expr
-
-
-# ---------------------------------------------------------------------------
-# Pass 2: type checking
-# ---------------------------------------------------------------------------
-
-
 class _MethodChecker:
-    def __init__(self, info: ProgramInfo, class_name: str, method: ast.MethodDecl):
+    """Types one method body, or one field initializer, in one walk.
+
+    ``implicit_this`` says whether a bare name that is not a variable
+    in scope may name a field of the class: true in method bodies;
+    field initializers get no implicit ``this``.
+    """
+
+    def __init__(
+        self,
+        info: ProgramInfo,
+        class_name: str,
+        method: ast.MethodDecl,
+        implicit_this: bool = True,
+    ):
         self.info = info
         self.class_name = class_name
         self.method = method
+        self.implicit_this = implicit_this
         self.builtin_classes = frozenset(BUILTIN_CLASSES)
         self.return_type = st.from_type_node(method.return_type, self.builtin_classes)
+        #: The variables in scope.  Names are unique per method while in
+        #: scope; leaving a block re-permits its names only for *later*
+        #: declarations, so analyses may key variables by name.
         self.vars: dict[str, tuple[st.SType, ast.Node]] = {}
+        #: The names each enclosing block declared, innermost last.
+        self.scopes: list[list[str]] = [[]]
+        #: How many loops enclose the statement being checked.
+        self.loops = 0
+        #: The user-method calls the body makes, in walk order.
+        self.calls: list[MethodCall] = []
 
     def semantic(self, node: ast.TypeNode) -> st.SType:
         stype = st.from_type_node(node, self.builtin_classes)
@@ -232,30 +101,55 @@ class _MethodChecker:
 
     def run(self) -> None:
         for param in self.method.params:
-            stype = self.semantic(param.decl_type)
-            self.vars[param.name] = (stype, param)
+            self._declare(param.name, self.semantic(param.decl_type), param)
         self.check_stmt(self.method.body)
+
+    def _declare(self, name: str, stype: st.SType, node: ast.Node) -> None:
+        if name in self.vars:
+            raise JavaTypeError(
+                f"variable {name!r} is declared more than once in "
+                f"method {self.method.name!r} (shadowing is not supported)",
+                node,
+            )
+        self.vars[name] = (stype, node)
+        self.scopes[-1].append(name)
+
+    def _pop_scope(self) -> None:
+        for name in self.scopes.pop():
+            del self.vars[name]
 
     # -- statements ----------------------------------------------------
 
+    def _check_body(self, stmt: ast.Stmt, loop: bool = False) -> None:
+        """Check the body of an ``if``, ``else`` or loop.  As in Java,
+        a declaration may not be the whole body: it would declare a name
+        in the enclosing scope that a skipped body leaves unbound."""
+        if isinstance(stmt, ast.VarDecl):
+            raise JavaTypeError("variable declaration not allowed here", stmt)
+        self.loops += loop
+        self.check_stmt(stmt)
+        self.loops -= loop
+
     def check_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.Block):
+            self.scopes.append([])
             for child in stmt.stmts:
                 self.check_stmt(child)
+            self._pop_scope()
         elif isinstance(stmt, ast.VarDecl):
             declared = self.semantic(stmt.decl_type)
             if stmt.init is not None:
-                init_type = self.check_expr(stmt.init)
-                if not self.assignable(declared, init_type):
-                    raise JavaTypeError(
-                        f"cannot initialize {declared} variable "
-                        f"{stmt.name!r} with {init_type}",
-                        stmt,
-                    )
-            self.vars[stmt.name] = (declared, stmt)
+                stmt.init, init_type = self.check_expr(stmt.init)
+            self._declare(stmt.name, declared, stmt)
+            if stmt.init is not None and not self.assignable(declared, init_type):
+                raise JavaTypeError(
+                    f"cannot initialize {declared} variable "
+                    f"{stmt.name!r} with {init_type}",
+                    stmt,
+                )
         elif isinstance(stmt, ast.Assign):
-            target_type = self.check_expr(stmt.target)
-            value_type = self.check_expr(stmt.value)
+            stmt.target, target_type = self.check_expr(stmt.target)
+            stmt.value, value_type = self.check_expr(stmt.value)
             if stmt.op == "=":
                 if not self.assignable(target_type, value_type):
                     raise JavaTypeError(
@@ -275,21 +169,23 @@ class _MethodChecker:
                         "possible lossy conversion from float to int", stmt
                     )
         elif isinstance(stmt, ast.If):
-            self._check_cond(stmt.cond)
-            self.check_stmt(stmt.then_body)
+            stmt.cond = self._check_cond(stmt.cond)
+            self._check_body(stmt.then_body)
             if stmt.else_body is not None:
-                self.check_stmt(stmt.else_body)
+                self._check_body(stmt.else_body)
         elif isinstance(stmt, ast.While):
-            self._check_cond(stmt.cond)
-            self.check_stmt(stmt.body)
+            stmt.cond = self._check_cond(stmt.cond)
+            self._check_body(stmt.body, loop=True)
         elif isinstance(stmt, ast.For):
+            self.scopes.append([])
             if stmt.init is not None:
                 self.check_stmt(stmt.init)
             if stmt.cond is not None:
-                self._check_cond(stmt.cond)
+                stmt.cond = self._check_cond(stmt.cond)
             if stmt.update is not None:
                 self.check_stmt(stmt.update)
-            self.check_stmt(stmt.body)
+            self._check_body(stmt.body, loop=True)
+            self._pop_scope()
         elif isinstance(stmt, ast.Return):
             if stmt.value is None:
                 if self.return_type != st.VOID:
@@ -299,7 +195,7 @@ class _MethodChecker:
                         stmt,
                     )
             else:
-                value_type = self.check_expr(stmt.value)
+                stmt.value, value_type = self.check_expr(stmt.value)
                 if self.return_type == st.VOID:
                     raise JavaTypeError(
                         f"void method {self.method.name!r} cannot return a value",
@@ -312,23 +208,50 @@ class _MethodChecker:
                         stmt,
                     )
         elif isinstance(stmt, ast.ExprStmt):
-            self.check_expr(stmt.expr)
+            stmt.expr, _ = self.check_expr(stmt.expr)
         elif isinstance(stmt, (ast.Break, ast.Continue)):
-            pass
+            if not self.loops:
+                # Java's rule; the engines then never carry a jump out
+                # of the method it is written in.
+                keyword = type(stmt).__name__.lower()
+                raise JavaTypeError(f"{keyword!r} outside a loop", stmt)
         else:  # pragma: no cover - defensive
             raise JavaTypeError(f"unhandled statement {type(stmt).__name__}", stmt)
 
-    def _check_cond(self, cond: ast.Expr) -> None:
-        cond_type = self.check_expr(cond)
+    def _check_cond(self, cond: ast.Expr) -> ast.Expr:
+        cond, cond_type = self.check_expr(cond)
         if cond_type != st.BOOLEAN:
             raise JavaTypeError(f"condition must be boolean, found {cond_type}", cond)
+        return cond
 
     # -- expressions -----------------------------------------------------
 
-    def check_expr(self, expr: ast.Expr) -> st.SType:
+    def check_expr(self, expr: ast.Expr) -> tuple[ast.Expr, st.SType]:
+        """Type ``expr``; return it, a bare field name rewritten to
+        ``this.field``, with its type.  Callers store the expression
+        back where they read it."""
+        if (
+            self.implicit_this
+            and isinstance(expr, ast.VarRef)
+            and expr.name not in self.vars
+        ):
+            if self.info.find_field(self.class_name, expr.name) is None:
+                raise JavaTypeError(f"unknown identifier {expr.name!r}", expr)
+            this = ast.ThisRef(line=expr.line, col=expr.col)
+            expr = ast.FieldAccess(
+                obj=this, field_name=expr.name, line=expr.line, col=expr.col
+            )
         stype = self._infer(expr)
         self.info.expr_types[expr.uid] = stype
-        return stype
+        return expr, stype
+
+    def _check_args(self, expr: ast.Call | ast.New) -> list[st.SType]:
+        """Type the arguments of ``expr``, rewriting them in place."""
+        arg_types = []
+        for index, arg in enumerate(expr.args):
+            expr.args[index], arg_type = self.check_expr(arg)
+            arg_types.append(arg_type)
+        return arg_types
 
     def _infer(self, expr: ast.Expr) -> st.SType:
         if isinstance(expr, ast.IntLit):
@@ -355,8 +278,8 @@ class _MethodChecker:
         if isinstance(expr, ast.FieldAccess):
             return self._infer_field_access(expr)
         if isinstance(expr, ast.ArrayAccess):
-            array_type = self.check_expr(expr.array)
-            index_type = self.check_expr(expr.index)
+            expr.array, array_type = self.check_expr(expr.array)
+            expr.index, index_type = self.check_expr(expr.index)
             if not isinstance(array_type, st.ArrayT):
                 raise JavaTypeError(f"cannot index into {array_type}", expr)
             if index_type != st.INT:
@@ -365,7 +288,7 @@ class _MethodChecker:
                 )
             return array_type.element
         if isinstance(expr, ast.ArrayLength):
-            array_type = self.check_expr(expr.array)
+            expr.array, array_type = self.check_expr(expr.array)
             if not isinstance(array_type, st.ArrayT):
                 raise JavaTypeError(f"{array_type} has no length", expr)
             return st.INT
@@ -378,14 +301,14 @@ class _MethodChecker:
         if isinstance(expr, ast.New):
             return self._infer_new(expr)
         if isinstance(expr, ast.NewArray):
-            size_type = self.check_expr(expr.size)
+            expr.size, size_type = self.check_expr(expr.size)
             if size_type != st.INT:
                 raise JavaTypeError(f"array size must be int, found {size_type}", expr)
             return st.ArrayT(self.semantic(expr.element))
         raise JavaTypeError(f"unhandled expression {type(expr).__name__}", expr)
 
     def _infer_field_access(self, expr: ast.FieldAccess) -> st.SType:
-        obj_type = self.check_expr(expr.obj)
+        expr.obj, obj_type = self.check_expr(expr.obj)
         if not isinstance(obj_type, st.ClassT):
             raise JavaTypeError(
                 f"cannot access field {expr.field_name!r} on {obj_type}", expr
@@ -400,7 +323,7 @@ class _MethodChecker:
         return self.semantic(decl.decl_type)
 
     def _infer_unary(self, expr: ast.Unary) -> st.SType:
-        operand = self.check_expr(expr.operand)
+        expr.operand, operand = self.check_expr(expr.operand)
         if expr.op == "-":
             if not st.is_numeric(operand):
                 raise JavaTypeError(f"cannot negate {operand}", expr)
@@ -419,8 +342,8 @@ class _MethodChecker:
         raise JavaTypeError(f"unknown unary operator {expr.op!r}", expr)
 
     def _infer_binary(self, expr: ast.Binary) -> st.SType:
-        left = self.check_expr(expr.left)
-        right = self.check_expr(expr.right)
+        expr.left, left = self.check_expr(expr.left)
+        expr.right, right = self.check_expr(expr.right)
         op = expr.op
         if op in ("+", "-", "*", "/", "%"):
             if op == "+" and st.STRING in (left, right):
@@ -464,13 +387,14 @@ class _MethodChecker:
         receiver = expr.receiver
 
         # Builtin namespace call: Device.readTemp(), SJ.broadcast(x), ...
+        # A receiver naming a namespace or a class is left as is.
         if isinstance(receiver, ast.VarRef) and receiver.name in NAMESPACES:
             sig = lookup_namespace_function(receiver.name, expr.method)
             if sig is None:
                 raise JavaTypeError(
                     f"unknown builtin {receiver.name}.{expr.method}", expr
                 )
-            arg_types = [self.check_expr(arg) for arg in expr.args]
+            arg_types = self._check_args(expr)
             result = sig.check(arg_types)
             if result is None:
                 raise JavaTypeError(
@@ -491,10 +415,7 @@ class _MethodChecker:
                     f"{expr.method!r}",
                     expr,
                 )
-            owner, decl = found
-            self._check_user_args(expr, decl)
-            self.info.call_targets[expr.uid] = MethodCall(owner, decl, receiver.name)
-            return self.semantic(decl.return_type)
+            return self._user_call(expr, *found, receiver.name)
 
         # Instance call — explicit receiver or implicit this.
         if receiver is None:
@@ -504,7 +425,7 @@ class _MethodChecker:
                 )
             receiver_type: st.SType = st.ClassT(self.class_name)
         else:
-            receiver_type = self.check_expr(receiver)
+            expr.receiver, receiver_type = self.check_expr(receiver)
 
         if isinstance(receiver_type, st.BuiltinClassT):
             sig = lookup_builtin_method(receiver_type.name, expr.method)
@@ -512,8 +433,7 @@ class _MethodChecker:
                 raise JavaTypeError(
                     f"{receiver_type.name} has no method {expr.method!r}", expr
                 )
-            arg_types = [self.check_expr(arg) for arg in expr.args]
-            result = sig.check(arg_types)
+            result = sig.check(self._check_args(expr))
             if result is None:
                 raise JavaTypeError(
                     f"bad arguments to {receiver_type.name}.{expr.method}", expr
@@ -531,20 +451,24 @@ class _MethodChecker:
             raise JavaTypeError(
                 f"class {receiver_type.name!r} has no method {expr.method!r}", expr
             )
-        owner, decl = found
-        self._check_user_args(expr, decl)
-        self.info.call_targets[expr.uid] = MethodCall(owner, decl, receiver_type.name)
-        return self.semantic(decl.return_type)
+        return self._user_call(expr, *found, receiver_type.name)
 
-    def _check_user_args(self, expr: ast.Call, decl: ast.MethodDecl) -> None:
+    def _user_call(
+        self,
+        expr: ast.Call,
+        owner: str,
+        decl: ast.MethodDecl,
+        receiver_class: str,
+    ) -> st.SType:
         if len(expr.args) != len(decl.params):
             raise JavaTypeError(
                 f"method {decl.name!r} expects {len(decl.params)} argument(s), "
                 f"got {len(expr.args)}",
                 expr,
             )
-        for arg, param in zip(expr.args, decl.params):
-            arg_type = self.check_expr(arg)
+        for index, param in enumerate(decl.params):
+            arg, arg_type = self.check_expr(expr.args[index])
+            expr.args[index] = arg
             param_type = st.from_type_node(param.decl_type, self.builtin_classes)
             if not self.assignable(param_type, arg_type):
                 raise JavaTypeError(
@@ -552,11 +476,14 @@ class _MethodChecker:
                     f"{arg_type}, expected {param_type}",
                     arg,
                 )
+        target = MethodCall(owner, decl, receiver_class)
+        self.info.call_targets[expr.uid] = target
+        self.calls.append(target)
+        return self.semantic(decl.return_type)
 
     def _infer_new(self, expr: ast.New) -> st.SType:
         if expr.class_name in BUILTIN_CLASSES:
-            arg_types = [self.check_expr(arg) for arg in expr.args]
-            if arg_types != [st.INT]:
+            if self._check_args(expr) != [st.INT]:
                 raise JavaTypeError(
                     f"new {expr.class_name}(capacity) expects one int argument",
                     expr,
@@ -572,24 +499,25 @@ class _MethodChecker:
 
 
 def typecheck_program(info: ProgramInfo) -> None:
-    """Normalize and type check every method in the program.
+    """Type check every field initializer and method in the program,
+    class by class, recording each method's user-method calls in
+    ``info.method_calls``.
 
-    Also checks standard field-initializer typing.  Mutates ``info`` with
-    resolution results; raises :class:`JavaTypeError` on failure.
+    Mutates ``info`` and the tree with resolution results; raises
+    :class:`JavaTypeError` on the first error.
     """
-    for cls in info.program.classes:
-        for method in cls.methods:
-            _Normalizer(info, cls.name, method).run()
     for cls in info.program.classes:
         for fld in cls.fields:
             if fld.init is not None:
                 checker = _MethodChecker(
-                    info, cls.name, ast.MethodDecl(name="<init>", is_static=False,
-                                                   return_type=ast.PrimType(name="void"),
-                                                   body=ast.Block())
+                    info, cls.name,
+                    ast.MethodDecl(name="<init>", is_static=False,
+                                   return_type=ast.PrimType(name="void"),
+                                   body=ast.Block()),
+                    implicit_this=False,
                 )
                 declared = checker.semantic(fld.decl_type)
-                init_type = checker.check_expr(fld.init)
+                _, init_type = checker.check_expr(fld.init)
                 if not checker.assignable(declared, init_type):
                     raise JavaTypeError(
                         f"cannot initialize {declared} field {fld.name!r} "
@@ -597,4 +525,6 @@ def typecheck_program(info: ProgramInfo) -> None:
                         fld,
                     )
         for method in cls.methods:
-            _MethodChecker(info, cls.name, method).run()
+            checker = _MethodChecker(info, cls.name, method)
+            checker.run()
+            info.method_calls[cls.name, method.name] = checker.calls

@@ -274,9 +274,11 @@ def trial_telemetry(trial: dict) -> dict:
 
 #: This process's experiments, keyed by the payload fields that define
 #: one.  An experiment keeps its reference run and trace, so a worker
-#: parses each app and runs its reference once, not once per shard.
-#: Module state, because a pool worker receives nothing but payloads;
-#: trials never change an experiment, so sharing one is safe.
+#: parses each app and runs its reference once, not once per shard, and
+#: the driver counts each app's sites on the experiment its in-process
+#: shards then use.  Module state, because a pool worker receives
+#: nothing but payloads; trials never change an experiment, so sharing
+#: one is safe.
 _experiments: dict[tuple, object] = {}
 
 
@@ -520,9 +522,12 @@ class CampaignRunner:
         manifest = self._load_manifest()
         site_totals = manifest.get("site_totals") if manifest else None
         if site_totals is None:
+            # On the shards' own experiments (a shard's payload takes
+            # its experiment's fields from the config), so an
+            # in-process shard reuses the app this count built.
             site_totals = {
-                app: resolve_experiment(
-                    app, self.config.iterations
+                app: _shard_experiment(
+                    {**self.config.to_dict(), "app": app}
                 ).total_steps()
                 for app in self.config.apps
             }

@@ -269,13 +269,12 @@ class ReferenceTrace:
         self.sites: list[int] = []
         self._frame: Optional[_Frame] = None
         self._broken = False
-        #: The finished run's outputs, iteration marks, error log, step
-        #: count and iteration count, kept by :meth:`seal`.
+        #: The finished run's outputs, iteration marks, error log and
+        #: step count, kept by :meth:`seal`.
         self.outputs: list[object] = []
         self.marks: list[int] = []
         self.error_log: list[str] = []
         self.steps = 0
-        self.iterations = 0
 
     def record(
         self, engine: Interpreter, counter: StepCounter, frame: _Frame
@@ -295,15 +294,17 @@ class ReferenceTrace:
             self.sites.append(counter.step)
 
     def seal(self, info: ProgramInfo, engine: Interpreter) -> bool:
-        """Keep what trials splice in from the finished reference run
-        ``engine``; return whether trials may resume from this trace.
+        """Keep what trials restore and splice in from the finished
+        reference run ``engine``; return whether trials may resume from
+        this trace.
 
         They may when the event loop runs once per run (a top-level
         statement of the entry method, so no enclosing loop re-enters
-        it) and every output is a :func:`_plain_output`.  Spliced
-        outputs are the reference's own objects, where a full run makes
-        equal new ones; list equality short-cuts on identity, so a NaN
-        or an object would compare differently.
+        it) and every output is a :func:`_plain_output`.  A resumed
+        trial's outputs outside the iterations it ran are the
+        reference's own objects, where a full run makes equal new ones;
+        list equality short-cuts on identity, so a NaN or an object
+        would compare differently.
         """
         self._frame = None
         event_loop = info.event_loop
@@ -320,7 +321,6 @@ class ReferenceTrace:
         self.marks = engine.iteration_marks
         self.error_log = engine.error_log
         self.steps = engine.steps
-        self.iterations = engine.iteration
         return True
 
     def resume(self, target_step: int, injector: ErrorInjector) -> Optional["Resume"]:
@@ -344,8 +344,9 @@ class Resume:
     program's code before the loop runs as usual: it is the same in
     both runs).  Once ``injector`` is spent, the hook compares the
     engine with the trace at each boundary; on a match it ends the run
-    there (``stopped_at``) and :meth:`run` splices in the reference's
-    remainder.  Trials copy the trace and never change it.
+    there (``stopped_at``) and :meth:`run` adds the reference's
+    remaining errors and steps.  Trials copy the trace and never change
+    it.
     """
 
     def __init__(
@@ -417,18 +418,14 @@ class Resume:
         return reference[:self.index] + ran + after
 
     def _splice(self, engine: Interpreter) -> None:
-        """Append the reference's remainder after ``stopped_at`` to
-        ``engine``: outputs and marks, error log, step count, and the
-        step budget's verdict on that count."""
+        """Add the reference's remainder after ``stopped_at`` to
+        ``engine``'s error log and step count, with the step budget's
+        verdict on that count.  Its outputs need no splicing:
+        :meth:`groups` takes the reference's own groups after
+        ``stopped_at``."""
         trace = self.trace
         boundary = trace.boundaries[self.stopped_at]
-        shift = len(engine.sink.values) - boundary.outputs
-        engine.iteration_marks += [
-            mark + shift for mark in trace.marks[self.stopped_at:]
-        ]
-        engine.sink.values += trace.outputs[boundary.outputs:]
         engine.error_log += trace.error_log[boundary.errors:]
-        engine.iteration = trace.iterations
         engine.steps += trace.steps - boundary.steps
         check_step_budget(engine.steps, engine.options.step_budget)
 
@@ -645,12 +642,12 @@ class StabilizationExperiment(TrialLifecycle):
     compares its state with the trace at each boundary; on a match it
     would run exactly as the reference did from there (same state, same
     iteration-keyed inputs: the paper's ∃k ∀t≥k), so it stops and
-    splices in the reference's remainder (outputs, step count,
-    error-log count, and the step budget's verdict on the total).  A
-    trial whose state never matches runs to its end.  The verdict and
-    telemetry read only the iterations the trial ran: its output groups
-    before and after them are the reference's own objects
-    (:meth:`Resume.groups`), which list comparison passes by identity.
+    adds the reference's remaining errors and steps (and the step
+    budget's verdict on the total).  A trial whose state never matches
+    runs to its end.  The verdict and telemetry read only the
+    iterations the trial ran: its output groups before and after them
+    are the reference's own objects (:meth:`Resume.groups`), which list
+    comparison passes by identity.
 
     Trials run in full from the start when the site precedes the loop,
     when :meth:`ReferenceTrace.seal` refuses the trace (a device other

@@ -1,7 +1,13 @@
 """Call graph construction tests."""
 
-from repro.lang import parse_program, resolve_program, typecheck_program
-from repro.lang.callgraph import build_call_graph
+import pytest
+from hypothesis import given, settings
+
+from repro.lang import ast, parse_program, resolve_program, typecheck_program
+from repro.lang.callgraph import CallGraph, build_call_graph
+from repro.lang.symtab import MethodCall
+from tests.lang.test_typecheck import SAMPLE_PROGRAMS
+from tests.test_fuzz import programs
 
 
 def graph_for(source: str):
@@ -90,3 +96,56 @@ class TestRecursion:
             "class A { void a() { } void r() { r(); } }"
         )
         assert graph.find_recursive_cycle({("A", "a")}) is None
+
+
+def walk_call_graph(info) -> CallGraph:
+    """The reference builder: walks every method body for the calls
+    the type checker resolved, instead of reading the calls it recorded
+    while typing."""
+    graph = CallGraph()
+    for cls in info.program.classes:
+        for method in cls.methods:
+            caller = (cls.name, method.name)
+            graph.edges.setdefault(caller, set())
+            calls = [
+                expr
+                for stmt in ast.walk_stmts(method.body)
+                for expr in ast.walk_exprs(*ast.iter_stmt_exprs(stmt))
+                if isinstance(expr, ast.Call)
+            ]
+            for call in calls:
+                target = info.call_targets.get(call.uid)
+                if not isinstance(target, MethodCall):
+                    continue
+                for owner, decl in info.overriding_decls(
+                    target.receiver_class, target.decl.name
+                ):
+                    graph.edges[caller].add((owner, decl.name))
+    return graph
+
+
+def assert_same_as_walk(source: str) -> None:
+    info, graph = graph_for(source)
+    reference = walk_call_graph(info)
+    assert list(graph.edges) == list(reference.edges)
+    assert graph.edges == reference.edges
+
+
+class TestAgainstWalk:
+    @pytest.mark.parametrize("path", SAMPLE_PROGRAMS, ids=lambda p: p.name)
+    def test_same_edges_on_sample_programs(self, path):
+        assert_same_as_walk(path.read_text())
+
+    @given(programs(annotated=False))
+    @settings(max_examples=100, deadline=None)
+    def test_same_edges_on_fuzzed_programs(self, source):
+        assert_same_as_walk(source)
+
+    def test_same_edges_with_dispatch_and_nested_calls(self):
+        assert_same_as_walk(
+            "class A { int f(int v) { return v; } } "
+            "class B extends A { int f(int v) { return v + 1; } } "
+            "class T { A a; int g() { return 1; } "
+            "void m() { int x = a.f(g()); while (a.f(x) > 0) { x = x - 1; } "
+            "for (int i = g(); i < 3; i++) { x = a.f(i); } } }"
+        )

@@ -1,10 +1,18 @@
 """Conventional (Java-level) type checker tests."""
 
-import pytest
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+
+from repro.apps import programs_dir
 from repro.lang import ast, parse_program, resolve_program, typecheck_program
+from repro.lang.printer import print_program
 from repro.lang.symtab import BuiltinCall, MethodCall, ResolveError
 from repro.lang.typecheck import JavaTypeError
+from tests.lang.reference_normalizer import reference_normalize
+from tests.test_fuzz import programs
+from tests.test_fuzz_differential import rich_programs
 
 
 def analyze(source: str):
@@ -357,3 +365,89 @@ class TestResolveErrors:
             parse_program("class A { void run() { SJAVA: while (true) { } } }")
         )
         assert len(info.event_loops) == 1
+
+
+def front_end_outcome(resolve, source: str):
+    """The printed program after ``resolve`` (the type checker, or the
+    reference normalization pass), or the error it raised."""
+    info = resolve_program(parse_program(source))
+    try:
+        resolve(info)
+    except JavaTypeError as exc:
+        return str(exc)
+    return print_program(info.program)
+
+
+def assert_same_as_reference(source: str) -> None:
+    assert front_end_outcome(typecheck_program, source) == \
+        front_end_outcome(reference_normalize, source)
+
+
+SAMPLE_PROGRAMS = sorted(
+    [*programs_dir().glob("*.sj"),
+     *(Path(__file__).resolve().parents[2]
+       / "benchmarks/e2e/fixtures").rglob("*.sj")],
+    key=lambda p: p.name,
+)
+
+
+class TestOneWalk:
+    """The type checker resolves names, keeps scopes and enforces the
+    placement rules in the same walk that types each method; the
+    former separate normalization pass is the reference."""
+
+    @pytest.mark.parametrize("path", SAMPLE_PROGRAMS, ids=lambda p: p.name)
+    def test_same_program_as_the_reference(self, path):
+        assert_same_as_reference(path.read_text())
+
+    @given(programs(annotated=False))
+    @settings(max_examples=150, deadline=None)
+    def test_same_program_on_fuzzed_sources(self, source):
+        assert_same_as_reference(source)
+
+    @given(rich_programs())
+    @settings(max_examples=100, deadline=None)
+    def test_same_program_on_rich_fuzzed_sources(self, source):
+        assert_same_as_reference(source)
+
+    def test_same_program_where_scopes_end(self):
+        # Past the end of its block a name may be declared anew, and a
+        # bare use of it names the field again.
+        assert_same_as_reference(
+            "class T { int x; void m(int v) { "
+            "for (int i = 0; i < v; i++) { int x = i; v = x; } "
+            "for (int i = 0; i < v; i++) { x = i; } "
+            "{ int k = v; } int k = x; } }"
+        )
+
+    def test_field_initializer_gets_no_implicit_this(self):
+        expect_error(
+            "class T { int f = 1; int g = f + 1; }", "unknown variable 'f'"
+        )
+
+    def test_bare_field_name_in_static_method_rejected(self):
+        expect_error(
+            "class T { int f; static void m() { int x = f; } }",
+            "'this' used in a static method",
+        )
+
+    def test_first_error_in_walk_order_is_reported(self):
+        # The separate pass reported every normalization error, here
+        # the duplicate declaration, before any typing error.
+        source = "class T { void m() { int x = true; int x = 1; } }"
+        assert "cannot initialize int variable 'x' with boolean" in \
+            front_end_outcome(typecheck_program, source)
+        assert "declared more than once" in \
+            front_end_outcome(reference_normalize, source)
+
+    def test_each_method_records_its_calls_in_walk_order(self):
+        info = analyze(
+            "class H { static int s() { return 1; } } "
+            "class T { int a() { return 1; } int b(int v) { return v; } "
+            "void m() { b(a()); SJ.broadcast(H.s()); } }"
+        )
+        assert [
+            (call.owner, call.decl.name, call.receiver_class)
+            for call in info.method_calls["T", "m"]
+        ] == [("T", "a", "T"), ("T", "b", "T"), ("H", "s", "H")]
+        assert info.method_calls["T", "a"] == []

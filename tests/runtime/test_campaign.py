@@ -280,6 +280,23 @@ class TestCampaignRun:
                                   shard_timeout=120.0).run()
         assert _strip_volatile(parallel) == _strip_volatile(in_process)
 
+    def test_in_process_campaign_builds_each_app_once(self, monkeypatch):
+        """The driver counts each app's sites on the experiment its
+        in-process shards then run."""
+        built = []
+        resolve = campaign.resolve_experiment
+
+        def counted(app, *args, **kwargs):
+            built.append(app)
+            return resolve(app, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "_experiments", {})
+        monkeypatch.setattr(campaign, "resolve_experiment", counted)
+        config = small_config(apps=("wind_sensor", "heart_monitor"))
+        report = CampaignRunner(config=config, max_workers=1).run()
+        assert report["complete"] is True
+        assert built == ["wind_sensor", "heart_monitor"]
+
     def test_tiny_step_budget_records_timeouts_not_hangs(self):
         """End-to-end watchdog path: with an absurd budget every injected
         run trips the watchdog and is recorded as ``timeout``."""
