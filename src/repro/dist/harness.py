@@ -20,12 +20,15 @@ with single-node experiments
 ``repro.runtime.campaign`` sweep distributed apps with no new worker
 protocol.
 
-A round boundary's state is the tuple of node states: coins and
-schedules are pure functions of (seed, round, node), so two runs in
-the same states at the end of a round run identically from there on.
-On the production engine a trial therefore starts at its fault's round
-from the reference's states and stops once its states equal the
-reference's again (:meth:`DistExperiment._injected_run`).
+Every activation in round ``r`` runs its engine at event-loop
+iteration ``r``, so the engine's own ``begin_iteration`` stamps an
+injector with the round.  Boundary ``r`` is the state before round
+``r``, the tuple of node states: coins and schedules are pure functions
+of (seed, round, node), so two runs in the same states at a boundary
+run identically from there on.  On the production engine a trial
+therefore resumes and stops at boundaries by the one protocol
+single-node trials use
+(:meth:`~repro.runtime.stabilization.TrialLifecycle._injected_run`).
 
 A round counts against a trial when its node states differ from the
 reference's *and* fail the app's *legitimacy predicate* (a closed set
@@ -38,9 +41,9 @@ with the classic notion.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import eq
 from typing import Callable, Iterator, Optional
 
 from repro.lang.symtab import ProgramInfo
@@ -48,11 +51,7 @@ from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import IterationKeyedDevice
 from repro.runtime.injection import ErrorInjector, StepCounter
 from repro.runtime.interpreter import RuntimeOptions, state_digest
-from repro.runtime.stabilization import (
-    InjectedRun,
-    TrialLifecycle,
-    check_step_budget,
-)
+from repro.runtime.stabilization import InjectedRun, TrialLifecycle
 
 from repro.dist.scheduler import Scheduler
 from repro.dist.topology import Topology
@@ -95,28 +94,6 @@ class NodeView:
         """This round's coin (:func:`coin_bit`), drawn only when the
         program reads it."""
         return coin_bit(self.seed, self.round_index, self.node)
-
-
-class _RoundInjector:
-    """Adapts an :class:`ErrorInjector` (or a :class:`StepCounter`) to
-    the fabric's round clock.
-
-    Every activation is iteration 0 of a fresh engine run, so the
-    interpreter's own ``begin_iteration(0)`` calls are dropped and the
-    fabric advances the inner injector's clock once per round —
-    ``injection_iteration`` then records the fabric *round*.  Sites go
-    straight to the inner injector.
-    """
-
-    def __init__(self, inner: ErrorInjector | StepCounter) -> None:
-        self.inner = inner
-        self.site = inner.site
-
-    def begin_round(self, round_index: int) -> None:
-        self.inner.begin_iteration(round_index)
-
-    def begin_iteration(self, iteration: int) -> None:  # noqa: ARG002
-        pass
 
 
 @dataclass
@@ -172,9 +149,11 @@ class DistExperiment(TrialLifecycle):
     Trials follow :class:`~repro.runtime.stabilization.TrialLifecycle`:
     an injected run carries the injector on one node, and its
     trajectory is compared with the reference's as one group of N node
-    states per round.  On the production engine the run covers only
-    the rounds from its fault to its re-convergence
-    (:meth:`_injected_run`).
+    states per round.  Boundary ``r`` is the state before round ``r``;
+    on the production engine the lifecycle resumes a trial at the
+    boundary before its fault's round and stops it at the first later
+    boundary whose states equal the reference's.  The tree-walking
+    oracle simulates the whole horizon.
     """
 
     spec: DistAppSpec
@@ -240,12 +219,18 @@ class DistExperiment(TrialLifecycle):
         def generator(name: str, iteration: int, index: int) -> object:
             return read(view, name, index)
 
+        # The engine runs iteration ``round_index``, and the next one
+        # finds the input exhausted; its iteration cap counts from there.
         engine = self.engine(
             self.info,
-            IterationKeyedDevice(generator, iterations=1),
-            options=RuntimeOptions(ignore_errors=True, step_budget=budget),
+            IterationKeyedDevice(generator, iterations=round_index + 1),
+            options=RuntimeOptions(
+                ignore_errors=True, step_budget=budget,
+                max_iterations=round_index + RuntimeOptions.max_iterations,
+            ),
             injector=injector,
         )
+        engine.iteration = round_index
         engine.run()
         width = self.spec.state_width
         out = engine.sink.values[-width:]
@@ -266,7 +251,7 @@ class DistExperiment(TrialLifecycle):
         self,
         rounds: range,
         states: list[tuple],
-        injectors: dict[int, _RoundInjector],
+        injectors: dict[int, ErrorInjector | StepCounter],
         step_budget: Optional[int],
         steps: int = 0,
         errors: int = 0,
@@ -279,8 +264,6 @@ class DistExperiment(TrialLifecycle):
         topo = self.topology
         synchronous = self.scheduler.synchronous
         for r in rounds:
-            for injector in injectors.values():
-                injector.begin_round(r)
             source = list(states) if synchronous else states
             staged: dict[int, tuple] = {}
             for node in self.scheduler.order(r, topo.nodes):
@@ -304,13 +287,12 @@ class DistExperiment(TrialLifecycle):
         self,
         rounds: int,
         initial: Optional[list[tuple]] = None,
-        injectors: Optional[dict[int, _RoundInjector]] = None,
+        injectors: Optional[dict[int, ErrorInjector | StepCounter]] = None,
         step_budget: Optional[int] = None,
         start_round: int = 0,
     ) -> SimResult:
         """Run the fabric for ``rounds`` rounds.  ``injectors`` maps a
-        node to the :class:`_RoundInjector` attached to that node's
-        activations; its clock tracks fabric rounds.  Raises
+        node to the injector attached to that node's activations.  Raises
         :class:`StepBudgetExceeded` when the cumulative step budget runs
         out."""
         injectors = injectors or {}
@@ -327,8 +309,7 @@ class DistExperiment(TrialLifecycle):
             sim.round_steps.append(steps)
             sim.round_errors.append(errors)
             sim.round_sites.append({
-                node: injector.inner.step
-                for node, injector in injectors.items()
+                node: injector.step for node, injector in injectors.items()
             })
         return sim
 
@@ -339,8 +320,7 @@ class DistExperiment(TrialLifecycle):
         every node counts its sites, round by round."""
         if self._reference is None:
             self._reference = self.simulate(self.horizon(), injectors={
-                node: _RoundInjector(StepCounter())
-                for node in range(self.nodes)
+                node: StepCounter() for node in range(self.nodes)
             })
         return self._reference
 
@@ -397,90 +377,81 @@ class DistExperiment(TrialLifecycle):
         injector: ErrorInjector,
         budget: Optional[int],
         span,
+        reference: list,
     ) -> InjectedRun:
-        """The fabric with ``injector`` on ``node``.
-
-        On the production engine the run starts at ``start``, the round
-        holding the target site, from the reference's states, meters and
-        site count before it (the rounds before are the reference's
-        verbatim).  Once the injector is spent, a round whose states
-        equal the reference's ends it (``stop``), and the reference's
-        remaining rounds, steps and errors are spliced in.  The
-        tree-walking oracle simulates the whole horizon.  A target past
-        the node's site count never fires, so its run is the
-        reference."""
-        reference = self.reference()
-        clean = reference.trajectory
+        if injector.target_step < self.node_site_counts()[node]:
+            return super()._injected_run(
+                node, injector, budget, span, reference
+            )
+        # The composite site space covers the injection horizon
+        # (``self.rounds``) only: an over-large target must never fire,
+        # not even in the recovery window, so its run is the reference.
         span.set_attr("resumed_at", None)
         span.set_attr("stopped_at", None)
-        if injector.target_step >= self.node_site_counts()[node]:
-            # The composite site space covers the injection horizon
-            # (``self.rounds``) only; an over-large target must never
-            # fire, not even inside the recovery window.
-            return InjectedRun(clean, clean, reference.steps, reference.errors)
-        injectors = {node: _RoundInjector(injector)}
+        reference = self.reference()
+        clean = reference.trajectory
+        return InjectedRun(clean, clean, reference.steps, reference.errors)
+
+    def _boundary_sites(self, node: int) -> Optional[list[int]]:
         if not issubclass(self.engine, CompiledRunner):
-            sim = self.simulate(
-                self.horizon(), injectors=injectors, step_budget=budget
-            )
-            return self._judge(sim, 0, None)
-        start = bisect_right(
-            [sites[node] for sites in reference.round_sites],
-            injector.target_step,
-        )
-        span.set_attr("resumed_at", start)
-        if start:
+            return None
+        return [0] + [sites[node] for sites in self.reference().round_sites]
+
+    def _run_from(
+        self,
+        start: int,
+        node: int,
+        injector: ErrorInjector,
+        budget: Optional[int],
+        reconverged: Optional[Callable[..., bool]],
+    ) -> tuple[list[tuple[tuple, ...]], int, int]:
+        reference = self.reference()
+        clean = reference.trajectory
+        if start > 0:
             states = list(clean[start - 1])
             injector.step = reference.round_sites[start - 1][node]
             steps = reference.round_steps[start - 1]
             errors = reference.round_errors[start - 1]
         else:
-            states, steps, errors = self._initial_states(), 0, 0
-        trajectory = clean[:start]
-        stop = None
-        for steps, errors in self._rounds(
-            range(start, self.horizon()), states, injectors, budget,
+            start, states, steps, errors = 0, self._initial_states(), 0, 0
+        ran: list[tuple[tuple, ...]] = []
+        for r, (steps, errors) in enumerate(self._rounds(
+            range(start, self.horizon()), states, {node: injector}, budget,
             steps, errors,
-        ):
-            r = len(trajectory)
-            trajectory.append(tuple(states))
-            if injector.spent and trajectory[r] == clean[r]:
-                stop = r + 1
-                span.set_attr("stopped_at", stop)
-                steps += reference.steps - reference.round_steps[r]
-                errors += reference.errors - reference.round_errors[r]
-                check_step_budget(steps, budget)
-                trajectory += clean[stop:]
+        ), start):
+            ran.append(tuple(states))
+            if reconverged is not None and reconverged(
+                r + 1, eq, ran[-1], clean[r]
+            ):
                 break
-        return self._judge(SimResult(trajectory, steps, errors), start, stop)
+        return ran, steps, errors
 
-    def _judge(
-        self, sim: SimResult, start: int, stop: Optional[int]
-    ) -> InjectedRun:
-        """``sim`` as a trial run that executed rounds ``start`` up to
-        ``stop`` (None: the horizon); its other rounds are the
-        reference's own.  A round's group is judged correct when its
-        states equal the reference's or are legitimate."""
+    def _reference_after(self, k: int) -> tuple[int, int]:
+        reference = self.reference()
+        return (
+            reference.steps - reference.round_steps[k - 1],
+            reference.errors - reference.round_errors[k - 1],
+        )
+
+    def _judge(self, run: InjectedRun) -> InjectedRun:
+        """A round's group is judged correct when its states equal the
+        reference's or are legitimate."""
         reference = self.reference_groups()
-        judged = list(reference)
+        run.judged = list(reference)
         node_divergence = [[0] * self.nodes for _ in reference]
-        for r in range(start, len(reference) if stop is None else stop):
-            states, clean = sim.trajectory[r], reference[r]
+        stop = len(reference) if run.stop is None else run.stop
+        for r in range(run.start, stop):
+            states, clean = run.groups[r], reference[r]
             if states == clean:
                 continue
             node_divergence[r] = [int(a != b) for a, b in zip(states, clean)]
             if not self.spec.legitimate(
                 list(states), list(clean), self.topology, self.params
             ):
-                judged[r] = states
-        return InjectedRun(
-            sim.trajectory, judged, sim.steps, sim.errors,
-            telemetry={
-                "node_divergence": node_divergence,
-                "node_digests": [
-                    sim.node_digest(i) for i in range(self.nodes)
-                ],
-            },
-            start=start,
-            stop=stop,
-        )
+                run.judged[r] = states
+        sim = SimResult(run.groups, run.steps, run.errors)
+        run.telemetry = {
+            "node_divergence": node_divergence,
+            "node_digests": [sim.node_digest(i) for i in range(self.nodes)],
+        }
+        return run

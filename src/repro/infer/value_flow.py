@@ -106,6 +106,8 @@ class ValueFlowAnalysis:
         self.graphs: dict[MethodKey, MethodFlowGraph] = {}
         self.summaries: dict[MethodKey, MethodFlowSummary] = {}
         self.trusted: set[MethodKey] = self._trusted_methods()
+        self._unbuilt: set[MethodKey] = set()
+        self._read_unbuilt = False
 
     def _trusted_methods(self) -> set[MethodKey]:
         trusted = set()
@@ -132,18 +134,21 @@ class ValueFlowAnalysis:
     def run(self) -> dict[MethodKey, MethodFlowGraph]:
         scope = self.scope()
         order = self.call_graph.topological_order(scope)
-        # Two passes give the fixed point in the presence of summaries
-        # that may grow (the scope is recursion-free so one pass in
-        # topological order already suffices; the second is a safety net).
         tracer = get_tracer()
         with section("infer.fixpoint"):
             self._run_rounds(order, tracer)
         return self.graphs
 
     def _run_rounds(self, order, tracer) -> None:
+        """Build every graph, callees first.  In a recursion-free scope
+        each summary a method reads is then final, and one round is the
+        fixed point.  A recursive scope reads some summary before its
+        method is built (as empty), so a second round rebuilds every
+        graph with the first round's summaries."""
+        self._unbuilt = set(order)
+        self._read_unbuilt = False
         for round_index in range(2):
             with tracer.span("fixpoint_round", round=round_index) as span:
-                changed = False
                 for key in order:
                     cls = self.info.classes[key[0]]
                     method = cls.method_named(key[1])
@@ -152,15 +157,17 @@ class ValueFlowAnalysis:
                     graph = builder.build()
                     summary = _summarize(graph)
                     if self.summaries.get(key) != summary:
-                        changed = True
                         span.count("summaries_changed")
                     self.graphs[key] = graph
                     self.summaries[key] = summary
+                    self._unbuilt.discard(key)
                 span.count("methods", len(order))
-            if not changed:
+            if not self._read_unbuilt:
                 break
 
     def summary_for(self, key: MethodKey) -> MethodFlowSummary:
+        if key in self._unbuilt:
+            self._read_unbuilt = True
         return self.summaries.get(key, EMPTY_SUMMARY)
 
 

@@ -524,6 +524,10 @@ class _Generator:
         if isinstance(target, ast.VarRef):
             self.emit(f"V[{target.name!r}] = {result}")
             return
+        resolved = self.program.field_refs.get(target.uid)
+        if resolved is not None and resolved[1].is_static:
+            self.emit(f"E._store_static({resolved[0]!r}, {target.field_name!r}, {result})")
+            return
         stored = self.temp(result)
         where = self.const(target)
         if isinstance(target, ast.FieldAccess):

@@ -214,6 +214,12 @@ class Interpreter:
                     self._statics[(owner, fld.name)] = default_value(fld.decl_type)
         return self._statics[(owner, field_name)]
 
+    def _store_static(self, owner: str, field_name: str, value: object) -> None:
+        """As in Java (JLS 12.4.1), a store initializes ``owner`` first,
+        so its initializers never overwrite the stored value later."""
+        self._static_value(owner, field_name)
+        self._statics[(owner, field_name)] = value
+
     # -- calls -----------------------------------------------------------------
 
     def call_method(
@@ -393,6 +399,10 @@ class Interpreter:
         if isinstance(target, ast.VarRef):
             frame.vars[target.name] = value
         elif isinstance(target, ast.FieldAccess):
+            resolved = self.info.field_refs.get(target.uid)
+            if resolved is not None and resolved[1].is_static:
+                self._store_static(resolved[0], target.field_name, value)
+                return
             obj = self.eval(target.obj, frame)
             if obj is None:
                 self._null_error("field store on null reference", target)

@@ -114,7 +114,7 @@ def recovery_distance(
     per-iteration output groups from r onward equal the reference's.
 
     Unless ``stop`` is None, ``faulty_groups[stop:]`` are
-    ``reference_groups``' own objects (see :meth:`Resume.groups`), so the
+    ``reference_groups``' own objects (see :class:`InjectedRun`), so the
     scan for ``r`` starts at ``stop``.
     """
     if faulty_groups == reference_groups:
@@ -155,7 +155,7 @@ def divergence_series(
     The series the paper's Figures 6.1/6.2 make visible — it spikes at
     the injection point and decays to zero as execution re-converges.
     ``faulty_groups`` outside ``start`` up to ``stop`` (None: the end)
-    are the reference's own groups (see :meth:`Resume.groups`) and count
+    are the reference's own groups (see :class:`InjectedRun`) and count
     zero."""
     series = [0] * start
     series.extend(
@@ -323,70 +323,47 @@ class ReferenceTrace:
         self.steps = engine.steps
         return True
 
-    def resume(self, target_step: int, injector: ErrorInjector) -> Optional["Resume"]:
-        """Where a trial corrupting ``target_step`` starts: the last
-        boundary at or before that site, or None (a full run) when the
-        site precedes the loop."""
-        index = bisect_right(self.sites, target_step) - 1
-        return Resume(self, index, injector) if index >= 0 else None
-
 
 class _Reconverged(Exception):
     """Ends a resumed run at the boundary where it re-converged."""
 
 
 class Resume:
-    """One trial's pass through a :class:`ReferenceTrace`.
-
-    :meth:`run` runs the trial engine with a boundary hook.  At the
-    loop's first boundary the hook puts the engine in the reference's
-    state at boundary ``index``, skipping the iterations before it (the
-    program's code before the loop runs as usual: it is the same in
-    both runs).  Once ``injector`` is spent, the hook compares the
-    engine with the trace at each boundary; on a match it ends the run
-    there (``stopped_at``) and :meth:`run` adds the reference's
-    remaining errors and steps.  Trials copy the trace and never change
-    it.
-    """
+    """A resumed trial's event-loop boundary hook, :meth:`at_boundary`.
+    At the loop's first boundary it puts the engine in the state of
+    ``trace``'s boundary ``start`` (for -1 and 0 the code before the loop
+    has done that); at every later boundary ``k`` it ends the run, by
+    raising :class:`_Reconverged`, if ``reconverged(k, matches, engine,
+    frame)`` is true.  Trials copy the trace and never change it."""
 
     def __init__(
-        self, trace: ReferenceTrace, index: int, injector: ErrorInjector
+        self, trace: ReferenceTrace, start: int, injector: ErrorInjector,
+        reconverged: Callable[..., bool],
     ) -> None:
         self.trace = trace
-        self.index = index
+        self.start = start
         self.injector = injector
-        self.stopped_at: Optional[int] = None
+        self.reconverged = reconverged
         #: The loop frame's variables once restored: identifies the
         #: frame without a reference back to the engine.
         self._locals: Optional[dict] = None
 
-    def run(self, engine: Interpreter) -> None:
-        engine.boundary_hook = self._at_boundary
-        try:
-            engine.run()
-        except _Reconverged:
-            self._splice(engine)
-
-    def _at_boundary(self, frame: _Frame) -> None:
-        if self._locals is None:
-            self._restore(frame.engine, frame)
-            return
+    def at_boundary(self, frame: _Frame) -> None:
         engine = frame.engine
+        if self._locals is None:
+            self._restore(engine, frame)
         boundaries = self.trace.boundaries
+        k = engine.iteration
         if (
             frame.vars is self._locals
-            and self.injector.spent
-            and engine.iteration < len(boundaries)
-            and boundaries[engine.iteration].matches(engine, frame)
+            and self.start < k < len(boundaries)
+            and self.reconverged(k, boundaries[k].matches, engine, frame)
         ):
-            self.stopped_at = engine.iteration
             raise _Reconverged()
 
     def _restore(self, engine: Interpreter, frame: _Frame) -> None:
-        """Jump from the loop's first boundary to boundary ``index``;
-        boundary 0 needs nothing: the code before it did not change."""
-        if self.index > 0:
-            boundary = self.trace.boundaries[self.index]
+        if self.start > 0:
+            boundary = self.trace.boundaries[self.start]
             values = copy_graph(boundary.values)
             count = len(boundary.names)
             frame.this = values[0]
@@ -396,48 +373,11 @@ class Resume:
             engine.device.seek(boundary.device)
             self.injector.step = boundary.sites
             engine.steps = boundary.steps
-            engine.iteration = self.index
-            engine.iteration_marks = self.trace.marks[:self.index]
+            engine.iteration = self.start
+            engine.iteration_marks = self.trace.marks[:self.start]
             engine.sink.values = self.trace.outputs[:boundary.outputs]
             engine.error_log = self.trace.error_log[:boundary.errors]
         self._locals = frame.vars
-
-    def groups(
-        self, engine: Interpreter, reference: list[list[object]]
-    ) -> list[list[object]]:
-        """The finished run's output groups: its own for the iterations
-        it ran, from ``index`` up to ``stopped_at``, and ``reference``'s
-        own group objects before and after them (the same outputs)."""
-        marks, values = engine.iteration_marks, engine.sink.values
-        stop = len(marks) if self.stopped_at is None else self.stopped_at
-        ran = [
-            values[marks[i - 1] if i else 0:marks[i]]
-            for i in range(self.index, stop)
-        ]
-        after = [] if self.stopped_at is None else reference[stop:]
-        return reference[:self.index] + ran + after
-
-    def _splice(self, engine: Interpreter) -> None:
-        """Add the reference's remainder after ``stopped_at`` to
-        ``engine``'s error log and step count, with the step budget's
-        verdict on that count.  Its outputs need no splicing:
-        :meth:`groups` takes the reference's own groups after
-        ``stopped_at``."""
-        trace = self.trace
-        boundary = trace.boundaries[self.stopped_at]
-        engine.error_log += trace.error_log[boundary.errors:]
-        engine.steps += trace.steps - boundary.steps
-        check_step_budget(engine.steps, engine.options.step_budget)
-
-
-def check_step_budget(steps: int, budget: Optional[int]) -> None:
-    """The step budget's verdict on a resumed run's spliced step total:
-    a full run would have exceeded the budget exactly when that total
-    does."""
-    if budget is not None and steps > budget:
-        raise StepBudgetExceeded(
-            f"step budget of {budget} execution steps exhausted"
-        )
 
 
 @dataclass
@@ -474,9 +414,16 @@ class TrialLifecycle:
     An experiment supplies ``step_budget`` and ``step_budget_factor``,
     the clean run (``reference_groups()``, ``reference_steps()`` and
     ``total_steps()``), where a site lies (:meth:`_locate` and
-    :meth:`_labels`) and the injected run (``_injected_run(node,
-    injector, budget, span)``, which returns an :class:`InjectedRun` or
-    raises :class:`StepBudgetExceeded`).
+    :meth:`_labels`), and three hooks for :meth:`_injected_run`.
+    ``_boundary_sites(node)`` is the node's site count at each boundary
+    of the reference run (None: trials run in full).  ``_run_from(start,
+    node, injector, budget, reconverged)`` runs from boundary ``start``
+    (in full when ``reconverged`` is None) and ends at a later boundary
+    ``k`` where ``reconverged(k, same, *state)`` is true, ``same(*state)``
+    telling whether its state there equals the reference's; it returns
+    its groups from ``start`` on, its steps and its errors.
+    ``_reference_after(k)`` is the reference's steps and errors after
+    boundary ``k``.
     """
 
     def _locate(self, site: int) -> tuple[Optional[int], int]:
@@ -529,6 +476,69 @@ class TrialLifecycle:
             span.set_attr("diverged", trial.diverged)
         return trial
 
+    def _injected_run(
+        self,
+        node: Optional[int],
+        injector: ErrorInjector,
+        budget: Optional[int],
+        span,
+        reference: list,
+    ) -> InjectedRun:
+        """The injected run, or :class:`StepBudgetExceeded`; ``reference``
+        is the experiment's ``reference_groups()``.
+
+        Boundary ``k`` is the top of event-loop iteration ``k``, or the
+        state before fabric round ``k``.  The run starts at the last
+        boundary whose site count for ``node`` is at or before the
+        target (-1: before the loop), in the reference's state there.
+        Once the injector is spent, it stops at the first later boundary
+        whose state equals the reference's: from there it would run as
+        the reference did (same state, same iteration-keyed inputs: the
+        paper's ∃k ∀t≥k), so the reference's remaining steps and errors
+        are added, and the step budget judges the total as a full run's.
+        Its groups outside the boundaries it ran between are the
+        reference's own objects, which list comparison passes by identity.
+        """
+        sites = self._boundary_sites(node)
+        start = (
+            -1 if sites is None
+            else bisect_right(sites, injector.target_step) - 1
+        )
+        span.set_attr("resumed_at", start if start >= 0 else None)
+        stop: Optional[int] = None
+
+        def reconverged(k: int, same: Callable[..., bool], *state) -> bool:
+            nonlocal stop
+            if injector.spent and same(*state):
+                stop = k
+            return stop is not None
+
+        try:
+            ran, steps, errors = self._run_from(
+                start, node, injector, budget,
+                None if sites is None else reconverged,
+            )
+        finally:
+            span.set_attr("stopped_at", stop)
+        start = max(start, 0)
+        groups = reference[:start] + ran
+        if stop is not None:
+            more_steps, more_errors = self._reference_after(stop)
+            steps += more_steps
+            errors += more_errors
+            if budget is not None and steps > budget:
+                raise StepBudgetExceeded(
+                    f"step budget of {budget} execution steps exhausted"
+                )
+            groups += reference[stop:]
+        return self._judge(InjectedRun(
+            groups, groups, steps, errors, start=start, stop=stop
+        ))
+
+    def _judge(self, run: InjectedRun) -> InjectedRun:
+        """``run`` as the verdict reads it (see :class:`InjectedRun`)."""
+        return run
+
     def _trial_at(
         self,
         target_step: int,
@@ -541,7 +551,7 @@ class TrialLifecycle:
         budget = self._trial_budget()
         reference = self.reference_groups()
         try:
-            run = self._injected_run(node, injector, budget, span)
+            run = self._injected_run(node, injector, budget, span, reference)
         except StepBudgetExceeded:
             # The corrupted run never finished: a runaway loop or
             # explosion of work.  Recorded as a timeout, never a hang.
@@ -637,25 +647,19 @@ class StabilizationExperiment(TrialLifecycle):
     every event-loop boundary, the step and injection-site counts, the
     sink and error-log lengths, the device position, and a copy of the
     loop frame's locals, ``this``, the statics and the set of
-    initialized static owners.  A trial starts from the last boundary at
-    or before its target site.  Once its injector is spent, the trial
-    compares its state with the trace at each boundary; on a match it
-    would run exactly as the reference did from there (same state, same
-    iteration-keyed inputs: the paper's ∃k ∀t≥k), so it stops and
-    adds the reference's remaining errors and steps (and the step
-    budget's verdict on the total).  A trial whose state never matches
-    runs to its end.  The verdict and telemetry read only the
-    iterations the trial ran: its output groups before and after them
-    are the reference's own objects (:meth:`Resume.groups`), which list
-    comparison passes by identity.
+    initialized static owners.  Boundary ``k`` is the top of iteration
+    ``k``; :meth:`TrialLifecycle._injected_run` picks a trial's start
+    and stop among them, and a :class:`Resume` hook restores and stops
+    the engine there.  A site before the loop starts the run from the
+    program's start (boundary -1), and it can still stop at any
+    boundary.
 
-    Trials run in full from the start when the site precedes the loop,
-    when :meth:`ReferenceTrace.seal` refuses the trace (a device other
-    than :class:`IterationKeyedDevice`, an event loop nested in another
-    statement, an output that is NaN or not a primitive), and on the
-    tree-walking :class:`Interpreter`: it is the differential oracle
-    that resumed trials are checked against, so it never shares their
-    mechanism.
+    Trials run in full when :meth:`ReferenceTrace.seal` refuses the
+    trace (a device other than :class:`IterationKeyedDevice`, an event
+    loop nested in another statement, an output that is NaN or not a
+    primitive), and on the tree-walking :class:`Interpreter`: it is the
+    differential oracle that resumed trials are checked against, so it
+    never shares their mechanism.
 
     Measured with the end-to-end benchmark's campaign workload (seed 0,
     ten runs per side, host-scaled medians, a 2-vCPU AMD EPYC VM,
@@ -695,22 +699,18 @@ class StabilizationExperiment(TrialLifecycle):
     )
 
     def _engine(
-        self,
-        injector: Optional[object],
-        options: Optional[RuntimeOptions] = None,
+        self, injector: Optional[object], budget: Optional[int] = None
     ) -> Interpreter:
+        options = self.options
+        if budget is not None:
+            options = replace(options, step_budget=budget)
         return self.engine(
             self.info, self.device_factory(),
-            options=options if options is not None else self.options,
-            injector=injector,
+            options=options, injector=injector,
         )
 
-    def _run(
-        self,
-        injector: Optional[object],
-        options: Optional[RuntimeOptions] = None,
-    ) -> Interpreter:
-        interpreter = self._engine(injector, options)
+    def _run(self, injector: Optional[object]) -> Interpreter:
+        interpreter = self._engine(injector)
         interpreter.run()
         return interpreter
 
@@ -754,41 +754,38 @@ class StabilizationExperiment(TrialLifecycle):
             self._total_steps = counter.step
         return self._total_steps
 
-    def _injected_run(
+    def _boundary_sites(self, node: Optional[int]) -> Optional[list[int]]:
+        return self._trace.sites if self._trace is not None else None
+
+    def _run_from(
         self,
+        start: int,
         node: Optional[int],
         injector: ErrorInjector,
         budget: Optional[int],
-        span,
-    ) -> InjectedRun:
-        """The engine's run, resumed from the reference trace when the
-        lifecycle's ``reference_groups()`` call recorded one."""
-        options = (
-            replace(self.options, step_budget=budget)
-            if budget is not None else self.options
-        )
-        trace = self._trace
-        resume = (
-            trace.resume(injector.target_step, injector) if trace else None
-        )
-        span.set_attr("resumed_at", resume.index if resume else None)
-        interpreter = self._engine(injector, options)
+        reconverged: Optional[Callable[..., bool]],
+    ) -> tuple[list[list[object]], int, int]:
+        engine = self._engine(injector, budget)
+        if reconverged is not None:
+            engine.boundary_hook = Resume(
+                self._trace, start, injector, reconverged
+            ).at_boundary
         try:
-            if resume is None:
-                interpreter.run()
-            else:
-                resume.run(interpreter)
-        finally:
-            span.set_attr("stopped_at", resume.stopped_at if resume else None)
-        steps, errors = interpreter.steps, len(interpreter.error_log)
-        if resume is None:
-            groups = interpreter.outputs_by_iteration()
-            return InjectedRun(groups, groups, steps, errors)
-        # Only the iterations the trial ran are judged.
-        groups = resume.groups(interpreter, self._reference_groups)
-        return InjectedRun(
-            groups, groups, steps, errors,
-            start=resume.index, stop=resume.stopped_at,
+            engine.run()
+        except _Reconverged:
+            pass
+        marks, values = engine.iteration_marks, engine.sink.values
+        ran = [
+            values[marks[i - 1] if i else 0:marks[i]]
+            for i in range(max(start, 0), len(marks))
+        ]
+        return ran, engine.steps, len(engine.error_log)
+
+    def _reference_after(self, k: int) -> tuple[int, int]:
+        trace, boundary = self._trace, self._trace.boundaries[k]
+        return (
+            trace.steps - boundary.steps,
+            len(trace.error_log) - boundary.errors,
         )
 
 

@@ -13,8 +13,7 @@ import pytest
 
 from repro.apps import DIST_APP_NAMES
 from repro.dist import dist_app_experiment
-from repro.dist.harness import _RoundInjector
-from repro.runtime import Interpreter
+from repro.runtime import Interpreter, RuntimeOptions
 from repro.runtime.injection import StepCounter
 from tests.runtime.test_resume import oracle_records, sweep
 
@@ -116,19 +115,54 @@ class TestWhereTrialsRun:
         )
 
 
+class TestRoundClock:
+    @pytest.mark.parametrize("app, scheduler", [
+        ("herman_bit", "biased"),  # a node runs 0, 1 or more times a round
+        ("gradient_field", None),  # synchronous
+    ])
+    def test_a_fault_is_stamped_with_the_round_holding_its_site(
+        self, app, scheduler
+    ):
+        """Each activation runs its engine at iteration = round, so the
+        engine's own ``begin_iteration`` stamps the injector."""
+        experiment = dist_app_experiment(
+            app, scheduler=scheduler, step_budget_factor=64
+        )
+        round_sites = experiment.reference().round_sites
+        injected = 0
+        for site in range(experiment.total_steps()):
+            trial = experiment.trial_at(site, seed=site)
+            if trial.injection_iteration is None:
+                continue
+            node, step = experiment.site_location(site)
+            assert trial.injection_iteration == next(
+                r for r, sites in enumerate(round_sites) if sites[node] > step
+            )
+            injected += 1
+        assert injected > experiment.total_steps() // 2
+
+    def test_rounds_past_the_engines_iteration_cap_still_run(self):
+        """An activation's engine starts at iteration = round, so its
+        iteration cap counts from there: a late round runs its nodes as
+        round 0 does (gradient_field's coin-free, synchronous rounds do
+        not depend on their index)."""
+        experiment = dist_app_experiment("gradient_field")
+        late = experiment.simulate(1, start_round=RuntimeOptions.max_iterations)
+        first = experiment.simulate(1)
+        assert late.trajectory == first.trajectory
+        assert late.trajectory[0] != tuple(experiment._initial_states())
+
+
 class TestReferenceMeters:
     @pytest.mark.parametrize("app, scheduler", CONFIGS)
     def test_folded_site_counts_equal_a_counting_simulation(
         self, app, scheduler
     ):
         experiment = dist_app_experiment(app, scheduler=scheduler)
-        counters = {
-            node: _RoundInjector(StepCounter())
-            for node in range(experiment.nodes)
-        }
+        counters = {node: StepCounter() for node in range(experiment.nodes)}
         experiment.simulate(experiment.rounds, injectors=counters)
         assert experiment.node_site_counts() == [
-            counters[node].inner.step for node in range(experiment.nodes)
+            counters[node].step for node in range(experiment.nodes)
         ]
 
     def test_per_round_meters_are_cumulative(self):

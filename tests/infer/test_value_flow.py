@@ -1,12 +1,18 @@
 """Value flow graph construction tests (Section 5.2.1)."""
 
+import pytest
+from hypothesis import given, settings
+
+from repro.apps import APP_NAMES, DIST_APP_NAMES, load_app
 from repro.infer.value_flow import (
     PC_ROOT,
     RET_ROOT,
     THIS_ROOT,
     ValueFlowAnalysis,
 )
+from repro.obs import RingBufferSink, Tracer, installed_tracer
 from tests.conftest import analyze
+from tests.test_fuzz import programs
 
 
 def graphs_for(source: str):
@@ -208,3 +214,51 @@ class TestInterprocedural:
             extra="void unreachable() { int x = 0; }",
         ))
         assert ("Main", "unreachable") not in analysis.graphs
+
+
+RECURSIVE = loop_source(
+    "int v = Device.readSensor(); SJ.broadcast(down(v));",
+    "int down(int n) { if (n > 0) { return down(n - 1); } return n; }",
+)
+
+
+def fixpoint_rounds(info) -> tuple[ValueFlowAnalysis, int]:
+    ring = RingBufferSink(capacity=64)
+    with installed_tracer(Tracer(sinks=[ring])):
+        analysis = ValueFlowAnalysis(info)
+        analysis.run()
+    rounds = sum(
+        span.name == "fixpoint_round"
+        for root in ring.roots for span in root.walk()
+    )
+    return analysis, rounds
+
+
+def assert_a_second_round_changes_nothing(info) -> int:
+    """Run the analysis, then run it again over its own summaries: the
+    second run must rebuild the same graphs and summaries.  Returns the
+    first run's round count."""
+    analysis, rounds = fixpoint_rounds(info)
+    graphs, summaries = dict(analysis.graphs), dict(analysis.summaries)
+    analysis.run()
+    assert analysis.graphs == graphs
+    assert analysis.summaries == summaries
+    return rounds
+
+
+class TestFixpointRounds:
+    @pytest.mark.parametrize("annotated", [True, False])
+    @pytest.mark.parametrize("name", APP_NAMES + DIST_APP_NAMES)
+    def test_bundled_scopes_take_one_round(self, name, annotated):
+        info = load_app(name, annotated=annotated).info
+        assert assert_a_second_round_changes_nothing(info) == 1
+
+    @given(programs(annotated=False))
+    @settings(max_examples=40, deadline=None)
+    def test_fuzzed_scopes_take_one_round(self, source):
+        assert assert_a_second_round_changes_nothing(analyze(source)) == 1
+
+    def test_a_recursive_scope_takes_two(self):
+        analysis, rounds = fixpoint_rounds(analyze(RECURSIVE))
+        assert rounds == 2
+        assert ("Main", "down") in analysis.graphs

@@ -67,6 +67,24 @@ class Main {
 }
 '''
 
+#: Pre-loop sites (a field initializer and a local) whose values
+#: iteration 0 overwrites: a fault there leaves no trace at boundary 1.
+OVERWRITTEN = '''
+class Main {
+  int last = 2 + 3;
+  void run() {
+    int seed = last * 4;
+    SSJAVA:
+    while (true) {
+      int v = Device.readSensor();
+      last = v;
+      seed = v + 1;
+      SJ.broadcast(last + seed);
+    }
+  }
+}
+'''
+
 ECHO = '''
 class Main {
   void run() {
@@ -180,6 +198,19 @@ class TestMatchesFullRuns:
         assert attrs[3]["resumed_at"] == 0
         assert experiment.reference_trace().boundaries[0].ready == frozenset()
         assert experiment.reference_trace().boundaries[1].ready == {"Main"}
+
+    def test_faults_before_the_loop_stop_once_overwritten(self):
+        """A pre-loop fault runs from the program's start (no boundary
+        to resume from) but stops like any other trial."""
+        experiment = experiment_of(OVERWRITTEN, lambda name, it, k: it % 5)
+        sites = range(experiment.total_steps())
+        records, attrs = sweep(experiment, sites)
+        assert records == oracle_records(experiment, sites)
+        before = experiment.reference_trace().sites[0]
+        assert before == 3
+        assert [a["resumed_at"] for a in attrs[:before]] == [None] * before
+        assert [a["stopped_at"] for a in attrs[:before]] == [1] * before
+        assert {r["verdict"] for r in records[:before]} == {"masked"}
 
 
 class TestFullRunFallbacks:
