@@ -16,8 +16,12 @@ test suite runs both engines differentially.  What it relies on:
   function needs only the frame, and a resumed run can swap the frame's
   state at a loop boundary;
 * every expression is evaluated into temporaries in the tree-walker's
-  order, so the injection sites, one ``I(value, node)`` call each, are
-  numbered identically;
+  order, so the injection sites are numbered identically.  A site is
+  an inline counter test, ``E.steps += 1`` and then ``if E.steps >=
+  E.trip: t = E._site(t, node)``, and an inner loop charges each
+  iteration the same way; generated code calls out only at the step
+  :meth:`CompiledRunner._arm` sets, so a run pays for injection only
+  where its fault lands;
 * operators, ``Math.min``/``max``/``abs``, and null and bounds checks
   are inline; their error paths call helpers that log the tree-walker's
   messages;
@@ -38,12 +42,12 @@ test suite runs both engines differentially.  What it relies on:
 Generated functions are named after their method: profiles and
 tracebacks read ``sjava.Mp3Decoder.decodeGranule``.
 
-Measured on a shared 2-vCPU AMD EPYC VM (CPython 3.11, medians of 7,
-generated code warm): a 30-iteration run of a bundled app is 4.6–14.5×
-faster than on the tree-walker (mp3_decoder 22.5 ms vs 190–330 ms),
-and generating a program's code takes 2–6 ms, once.  A fabric
-activation, one fresh engine running one iteration, takes 21–61 µs vs
-50–250 µs.
+Measured on a shared 2-vCPU Intel Xeon VM (CPython 3.11.7, medians of
+7, generated code warm): a 30-iteration run of a bundled app is
+6.6–14.2× faster than on the tree-walker (mp3_decoder 8.6 ms vs 123 ms;
+11.7 ms when every site was a call), and generating a program's code
+and running it once takes 1–6 ms.  A fabric activation, one fresh
+engine running one iteration, takes 14–26 µs vs 31–117 µs.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from repro.lang.symtab import BuiltinCall, MethodCall, ProgramInfo
 from repro.runtime.interpreter import (
     Interpreter,
     SJavaRuntimeError,
+    StepBudgetExceeded,
     _BreakSignal,
     _ContinueSignal,
     _Frame,
@@ -77,14 +82,106 @@ MAX_BLOCKS = 10
 #: a temporary (CPython allows 200 nested parentheses).
 MAX_NESTING = 16
 
+#: How far ahead ``trip`` lies when neither the budget nor the injector
+#: sets it.  CPython compares ints below 2**30 on a fast path.
+_FAR = 1 << 29
+
 
 class CompiledRunner(Interpreter):
     """Drop-in replacement for :class:`Interpreter` that runs method
-    bodies as the program's shared :class:`CompiledProgram`."""
+    bodies as the program's shared :class:`CompiledProgram`.
+
+    Generated code meters every step inline and calls out only when
+    ``steps`` reaches :attr:`trip`: :meth:`_site` at a site,
+    :meth:`_charged` at a loop charge.  :meth:`_arm` keeps ``trip`` at
+    the earlier of the budget's trip step (budget + 1) and the earliest
+    step at which the injector's next target site can come, the site
+    count being ``steps - charges``.  A run with no budget and no
+    target left to its injector never calls out."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.program = CompiledProgram.of(self.info)
+        #: The step at which generated code next calls out; :meth:`run`
+        #: arms it, and until then the first step calls out.
+        self.trip = 0
+
+    def run(self, *args, **kwargs) -> list[object]:
+        injector = self.injector
+        if injector is not None:
+            # Continue the injector's site count: a fabric node's
+            # injector counts its sites across activations, each run
+            # by a fresh engine.
+            self.charges = self.steps - injector.step
+        self._arm()
+        try:
+            return super().run(*args, **kwargs)
+        finally:
+            if injector is not None:
+                injector.step = self.sites
+
+    def _arm(self) -> None:
+        """Set :attr:`trip`.  The injector's next target is the
+        ``target - sites + 1``-th site from now: it comes at that many
+        steps from now if no loop charge comes first, and later if one
+        does, in which case the call-out at the trip re-arms."""
+        budget = self.options.step_budget
+        trip = self.steps + _FAR if budget is None else budget + 1
+        injector = self.injector
+        if injector is not None:
+            target = injector.next_site(self.sites)
+            if target is not None:
+                trip = min(trip, self.charges + target + 1)
+        self.trip = trip
+
+    def _over_budget(self) -> bool:
+        budget = self.options.step_budget
+        return budget is not None and self.steps > budget
+
+    def _site(self, value: object, node: ast.Node) -> object:
+        """Generated code's call-out at a site at step :attr:`trip`."""
+        if self._over_budget():
+            # As on the tree-walker, the site that trips the budget
+            # counts as no site.
+            self.charges += 1
+            self._exhausted()
+        injector = self.injector
+        if injector is not None:
+            index = self.sites - 1
+            if injector.next_site(index) == index:
+                injector.step = index
+                value = injector.site(value, node)
+        self._arm()
+        return value
+
+    def _charged(self) -> None:
+        """Generated code's call-out at a loop charge at step
+        :attr:`trip`."""
+        if self._over_budget():
+            self._exhausted()
+        self._arm()
+
+    def _exhausted(self) -> None:
+        raise StepBudgetExceeded(
+            f"step budget of {self.options.step_budget} execution steps "
+            "exhausted"
+        )
+
+    # The event loop's charge, and the tree-walker's paths this engine
+    # still runs (field initializers, and an activation with too few
+    # arguments), meter their steps as generated code does.
+
+    def _inject(self, value: object, node: ast.Node) -> object:
+        self.steps += 1
+        if self.steps >= self.trip:
+            return self._site(value, node)
+        return value
+
+    def _charge(self) -> None:
+        self.steps += 1
+        self.charges += 1
+        if self.steps >= self.trip:
+            self._charged()
 
     def _find_target(
         self, dispatch_class: str, static_class: str, method_name: str
@@ -223,14 +320,13 @@ _HELPERS = {
 #: The prologue a generated function binds, for the names its body uses.
 _PROLOGUE = (
     ("E", "E = frame.engine"),
-    ("I", "I = E._inject"),
-    ("C", "C = E._charge"),
     ("V", "V = frame.vars"),
     ("T", "T = frame.this"),
 )
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 _NUMBER = re.compile(r"\d[\w.+]*\Z")
+_TEMPORARY = re.compile(r"_t\d+\Z")
 
 #: Operators whose result is a bool whatever the operands.
 _BOOLEAN_OPS = frozenset({"<", ">", "<=", ">=", "==", "!=", "&&", "||"})
@@ -280,7 +376,6 @@ class _Generator:
             lines.extend(
                 f"    {line}" for name, line in _PROLOGUE
                 if re.search(rf"\b{name}\b", text)
-                or (name == "E" and re.search(r"\b[IC]\b", text))
             )
             lines.extend(unit.lines or ["    pass"])
         return "\n".join(lines) + "\n"
@@ -372,6 +467,16 @@ class _Generator:
             return f"({code})"
         return self.temp(code)
 
+    def site(self, code: str, node: str) -> str:
+        """An injection site for the value of ``code`` at AST node
+        constant ``node``: a temporary holding the value, charged one
+        step inline, which the call-out at the step ``E.trip`` may
+        replace."""
+        value = code if _TEMPORARY.match(code) else self.temp(code)
+        self.emit("E.steps += 1")
+        self.emit(f"if E.steps >= E.trip: {value} = E._site({value}, {node})")
+        return value
+
     # -- statements ------------------------------------------------------------
 
     def block(self, stmt: ast.Stmt) -> None:
@@ -393,7 +498,7 @@ class _Generator:
             if stmt.init is None:
                 value = self.literal(default_value(stmt.decl_type))
             else:
-                value = f"I({self.expr(stmt.init)[0]}, {self.const(stmt)})"
+                value = self.site(self.expr(stmt.init)[0], self.const(stmt))
             self.emit(f"V[{stmt.name!r}] = {value}")
         elif isinstance(stmt, ast.Assign):
             self.assign(stmt)
@@ -501,7 +606,9 @@ class _Generator:
             if prelude:
                 unit.lines.extend(prelude)
                 self.emit(f"if not {test}: break")
-            self.emit("C()")
+            self.emit("E.steps += 1")
+            self.emit("E.charges += 1")
+            self.emit("if E.steps >= E.trip: E._charged()")
             self.emit(f"if {count} >= {bound}: E._exceed_bound({self.const(stmt)}); break")
             self.emit(f"{count} += 1")
             unit.loops.append(update)
@@ -520,7 +627,7 @@ class _Generator:
             current = self.expr(target)[0]
             numeric = self.numeric(target, stmt.value)
             value = self.arith(stmt.op[0], current, value, node, numeric)
-        result = f"I({value}, {node})"
+        result = self.site(value, node)
         if isinstance(target, ast.VarRef):
             self.emit(f"V[{target.name!r}] = {result}")
             return
@@ -528,18 +635,17 @@ class _Generator:
         if resolved is not None and resolved[1].is_static:
             self.emit(f"E._store_static({resolved[0]!r}, {target.field_name!r}, {result})")
             return
-        stored = self.temp(result)
         where = self.const(target)
         if isinstance(target, ast.FieldAccess):
             obj = self.name(self.expr(target.obj)[0])
-            self.emit(f"if {obj} is not None: {obj}.fields[{target.field_name!r}] = {stored}")
+            self.emit(f"if {obj} is not None: {obj}.fields[{target.field_name!r}] = {result}")
             self.emit(f"else: _null(E, 'field store on null reference', {where}, None)")
         elif isinstance(target, ast.ArrayAccess):
             array = self.name(self.expr(target.array)[0])
             index = self.name(self.expr(target.index)[0])
             self.emit(
                 f"if {array} is not None and 0 <= {index} < len({array}.items): "
-                f"{array}.items[{index}] = {stored}"
+                f"{array}.items[{index}] = {result}"
             )
             self.emit(f"else: _store_element(E, {array}, {index}, {where})")
         else:
@@ -641,8 +747,7 @@ class _Generator:
         if op in ("+", "-", "*", "/", "%"):
             node = self.const(expr)
             numeric = self.numeric(expr.left, expr.right)
-            code = self.arith(op, left, right, node, numeric)
-            return self.temp(f"I({code}, {node})"), 0
+            return self.site(self.arith(op, left, right, node, numeric), node), 0
         if op in ("<", ">", "<=", ">=", "==", "!="):
             # ``==`` on two references is identity, as the tree-walker's
             # ``is``: runtime objects define no equality of their own.

@@ -2,11 +2,15 @@
 
 The paper's compiler "generated error injection code that randomly
 selects memory and mathematical operations, and replaces the original
-value with a random value".  Here the interpreter calls
-:meth:`ErrorInjector.site` for every value produced by an assignment or
-arithmetic operation; the injector counts those sites globally and
-corrupts the chosen one (or a run of consecutive ones — the eye-tracking
-experiment injects errors at 10 consecutive instructions).
+value with a random value".  Here every value produced by an
+assignment or arithmetic operation is an injection site; the injector
+numbers those sites globally and corrupts the chosen one (or a run of
+consecutive ones — the eye-tracking experiment injects errors at 10
+consecutive instructions).  The tree-walking interpreter calls
+:meth:`ErrorInjector.site` at every site.  Generated code counts the
+sites inline and calls ``site`` only at the sites
+:meth:`ErrorInjector.next_site` names, setting ``step`` first, and
+writes its count back to ``step`` when a run ends.
 
 Only type-preserving corruptions are performed (ints→ints, floats→floats,
 booleans flip); references are never corrupted, matching the paper's
@@ -46,6 +50,13 @@ class ErrorInjector:
     def begin_iteration(self, iteration: int) -> None:
         self._current_iteration = iteration
 
+    def next_site(self, index: int) -> Optional[int]:
+        """The first site at or after site ``index`` that this injector
+        may change, or None when it changes no more."""
+        if index >= self.target_step + self.burst:
+            return None
+        return max(index, self.target_step)
+
     def site(self, value: object, node: ast.Node) -> object:
         index = self.step
         self.step += 1
@@ -77,17 +88,21 @@ class ErrorInjector:
     @property
     def spent(self) -> bool:
         """True once every site this injector may corrupt has passed."""
-        return self.step >= self.target_step + self.burst
+        return self.next_site(self.step) is None
 
 
 class StepCounter:
-    """Counts injectable sites in a clean run, to pick a uniform target."""
+    """Counts the sites of a clean run in ``step``: the fabric reference
+    gives one to every node, to count its sites across activations."""
 
     def __init__(self) -> None:
         self.step = 0
 
     def begin_iteration(self, iteration: int) -> None:  # noqa: ARG002
         pass
+
+    def next_site(self, index: int) -> None:  # noqa: ARG002
+        return None
 
     def site(self, value: object, node: ast.Node) -> object:  # noqa: ARG002
         self.step += 1

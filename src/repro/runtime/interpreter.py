@@ -118,10 +118,16 @@ class Interpreter:
         self.options = options or RuntimeOptions()
         self.injector = injector
         self.sink = OutputSink()
+        #: One message per crash-avoidance error.
         self.error_log: list[str] = []
         self.iteration = 0
-        #: Executed steps, charged by :meth:`_charge` (the watchdog meter).
+        #: Executed steps (the watchdog meter): injection sites, each
+        #: charged by :meth:`_inject`, and loop charges (:meth:`_charge`).
         self.steps = 0
+        #: The steps that are not sites, so ``steps - charges`` counts
+        #: the sites (:attr:`sites`): loop charges, and a site that
+        #: trips the budget, which no injector sees.
+        self.charges = 0
         #: sink length at the end of each completed event-loop iteration
         self.iteration_marks: list[int] = []
         self._statics: dict[tuple[str, str], object] = {}
@@ -349,7 +355,9 @@ class Interpreter:
 
     def _exceed_bound(self, node: ast.Node) -> None:
         if self.options.ignore_errors:
-            self._log(f"loop bound exceeded at {node.line}:{node.col}; bounded")
+            self.error_log.append(
+                f"loop bound exceeded at {node.line}:{node.col}; bounded"
+            )
         else:
             raise SJavaRuntimeError("inner loop exceeded its iteration bound", node)
 
@@ -665,33 +673,45 @@ class Interpreter:
 
     # -- error handling (crash avoidance) ---------------------------------------------
 
-    def _log(self, message: str) -> None:
-        self.error_log.append(message)
-
     def _null_error(self, message: str, node: ast.Node) -> None:
         if self.options.ignore_errors:
-            self._log(f"{message} at {node.line}:{node.col}; ignored")
+            self.error_log.append(
+                f"{message} at {node.line}:{node.col}; ignored"
+            )
         else:
             raise SJavaRuntimeError(message, node)
 
     def _bounds_error(self, index: int, length: int, node: ast.Node) -> None:
-        message = f"index {index} out of bounds for length {length}"
         if self.options.ignore_errors:
-            self._log(f"{message} at {node.line}:{node.col}; ignored")
+            self.error_log.append(
+                f"index {index} out of bounds for length {length} "
+                f"at {node.line}:{node.col}; ignored"
+            )
         else:
-            raise SJavaRuntimeError(message, node)
+            raise SJavaRuntimeError(
+                f"index {index} out of bounds for length {length}", node
+            )
 
     def _arith_error(self, message: str, node: ast.Node) -> None:
         if self.options.ignore_errors:
-            self._log(f"{message} at {node.line}:{node.col}; defined result")
+            self.error_log.append(
+                f"{message} at {node.line}:{node.col}; defined result"
+            )
         else:
             raise SJavaRuntimeError(message, node)
 
     # -- watchdog -------------------------------------------------------------------------
 
+    @property
+    def sites(self) -> int:
+        """The injection sites executed so far."""
+        return self.steps - self.charges
+
     def _charge(self) -> None:
-        """Meter one execution step against the optional step budget."""
+        """Meter one loop charge, a step that is not a site, against the
+        optional step budget."""
         self.steps += 1
+        self.charges += 1
         budget = self.options.step_budget
         if budget is not None and self.steps > budget:
             raise StepBudgetExceeded(
@@ -701,11 +721,16 @@ class Interpreter:
     # -- injection ------------------------------------------------------------------------
 
     def _inject(self, value: object, node: ast.Node) -> object:
-        """An injection site: charge one step (as :meth:`_charge`), then
-        let the injector see, and perhaps replace, ``value``."""
+        """An injection site: meter one step against the budget, then
+        let the injector see, and perhaps replace, ``value``.  This
+        engine calls the injector at every site, so the injector numbers
+        the sites itself."""
         self.steps += 1
         budget = self.options.step_budget
         if budget is not None and self.steps > budget:
+            # The injector never sees the site that trips the budget,
+            # so :attr:`sites` does not count it either.
+            self.charges += 1
             raise StepBudgetExceeded(
                 f"step budget of {budget} execution steps exhausted"
             )

@@ -28,7 +28,7 @@ from repro.obs import get_tracer
 from repro.obs.events import get_event_log
 from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import DeviceBus, IterationKeyedDevice
-from repro.runtime.injection import ErrorInjector, StepCounter
+from repro.runtime.injection import ErrorInjector
 from repro.runtime.interpreter import (
     Interpreter,
     RuntimeOptions,
@@ -276,9 +276,7 @@ class ReferenceTrace:
         self.error_log: list[str] = []
         self.steps = 0
 
-    def record(
-        self, engine: Interpreter, counter: StepCounter, frame: _Frame
-    ) -> None:
+    def record(self, engine: Interpreter, frame: _Frame) -> None:
         """The reference engine's boundary hook."""
         if self._broken:
             return
@@ -290,8 +288,8 @@ class ReferenceTrace:
         elif frame is not self._frame:
             self._broken = True  # the loop ran in a second activation
         if not self._broken:
-            self.boundaries.append(Boundary.of(engine, frame, counter.step))
-            self.sites.append(counter.step)
+            self.boundaries.append(Boundary.of(engine, frame, engine.sites))
+            self.sites.append(engine.sites)
 
     def seal(self, info: ProgramInfo, engine: Interpreter) -> bool:
         """Keep what trials restore and splice in from the finished
@@ -373,6 +371,8 @@ class Resume:
             engine.device.seek(boundary.device)
             self.injector.step = boundary.sites
             engine.steps = boundary.steps
+            engine.charges = boundary.steps - boundary.sites
+            engine._arm()
             engine.iteration = self.start
             engine.iteration_marks = self.trace.marks[:self.start]
             engine.sink.values = self.trace.outputs[:boundary.outputs]
@@ -667,7 +667,12 @@ class StabilizationExperiment(TrialLifecycle):
     wind_sensor 16.3 → 2.15 ms, heart_monitor 61.1 → 3.49 ms,
     eye_tracker 74.7 → 5.20 ms, mp3_decoder 1,238 → 205 ms.  Of that
     workload's trials 94–100% per app stop early, and a trial executes
-    2.7–7.5% of a full run's iterations.
+    2.7–7.5% of a full run's iterations.  Metering injection sites
+    inline (:mod:`repro.runtime.compiler`) then took mp3_decoder's
+    traced rate on that workload from about 103 to 190 trials/s (a
+    shard 155 → 84 ms; two traced runs per side on a 2-vCPU Intel Xeon
+    VM, CPython 3.11.7); the three apps with short trials stayed within
+    run-to-run noise.
     """
 
     info: ProgramInfo
@@ -680,10 +685,11 @@ class StabilizationExperiment(TrialLifecycle):
     #: tested), is the faster one (see repro.runtime.compiler for
     #: measurements), and is the only engine that resumes.
     engine: type = CompiledRunner
-    #: Watchdog for *injected* runs only (the reference run is never
-    #: budgeted): an absolute step cap, or a multiple of the reference
-    #: run's step count.  ``step_budget`` wins when both are set; with
-    #: neither, injected runs are unbudgeted (the historical behavior).
+    #: Watchdog for *injected* runs only (clean runs are never budgeted,
+    #: not even by ``options.step_budget``): an absolute step cap, or a
+    #: multiple of the reference run's step count.  ``step_budget`` wins
+    #: when both are set; with neither, injected runs run under
+    #: ``options.step_budget``.
     step_budget: Optional[int] = None
     step_budget_factor: Optional[int] = None
     #: The clean run's caches.  Not init fields, so
@@ -698,38 +704,36 @@ class StabilizationExperiment(TrialLifecycle):
         default=None, init=False, repr=False
     )
 
-    def _engine(
-        self, injector: Optional[object], budget: Optional[int] = None
-    ) -> Interpreter:
-        options = self.options
-        if budget is not None:
-            options = replace(options, step_budget=budget)
-        return self.engine(
-            self.info, self.device_factory(),
-            options=options, injector=injector,
-        )
+    def _trial_budget(self) -> Optional[int]:
+        """The lifecycle's budget, or else ``options.step_budget``: what
+        a full run of the trial would run under."""
+        budget = super()._trial_budget()
+        return self.options.step_budget if budget is None else budget
 
-    def _run(self, injector: Optional[object]) -> Interpreter:
-        interpreter = self._engine(injector)
-        interpreter.run()
-        return interpreter
+    def _run(self, trace: Optional[ReferenceTrace] = None) -> Interpreter:
+        """A finished run with no injector, recorded by ``trace`` if
+        given.  It is never budgeted, whatever ``options`` says."""
+        engine = self.engine(
+            self.info, self.device_factory(),
+            options=replace(self.options, step_budget=None),
+        )
+        if trace is not None:
+            engine.boundary_hook = partial(trace.record, engine)
+        engine.run()
+        engine.boundary_hook = None  # it refers to the engine
+        return engine
 
     def reference_groups(self) -> list[list[object]]:
         if self._reference_groups is None:
             if issubclass(self.engine, CompiledRunner):
                 # The production engine records the trace trials resume
-                # from; a counter supplies the boundaries' site counts.
-                trace, counter = ReferenceTrace(), StepCounter()
-                interpreter = self._engine(counter)
-                interpreter.boundary_hook = partial(
-                    trace.record, interpreter, counter
-                )
-                interpreter.run()
-                interpreter.boundary_hook = None  # it refers to the engine
+                # from.
+                trace = ReferenceTrace()
+                interpreter = self._run(trace)
                 if trace.seal(self.info, interpreter):
                     self._trace = trace
             else:
-                interpreter = self._run(None)
+                interpreter = self._run()
             self._reference_groups = interpreter.outputs_by_iteration()
             self._reference_steps = interpreter.steps
         return self._reference_groups
@@ -749,9 +753,7 @@ class StabilizationExperiment(TrialLifecycle):
     def total_steps(self) -> int:
         """Number of injectable sites in a clean run."""
         if self._total_steps is None:
-            counter = StepCounter()
-            self._run(counter)
-            self._total_steps = counter.step
+            self._total_steps = self._run().sites
         return self._total_steps
 
     def _boundary_sites(self, node: Optional[int]) -> Optional[list[int]]:
@@ -765,7 +767,11 @@ class StabilizationExperiment(TrialLifecycle):
         budget: Optional[int],
         reconverged: Optional[Callable[..., bool]],
     ) -> tuple[list[list[object]], int, int]:
-        engine = self._engine(injector, budget)
+        engine = self.engine(
+            self.info, self.device_factory(),
+            options=replace(self.options, step_budget=budget),
+            injector=injector,
+        )
         if reconverged is not None:
             engine.boundary_hook = Resume(
                 self._trace, start, injector, reconverged

@@ -13,7 +13,14 @@ import pytest
 
 from repro.apps import DIST_APP_NAMES
 from repro.dist import dist_app_experiment
-from repro.runtime import Interpreter, RuntimeOptions
+from repro.dist.harness import DistExperiment
+from repro.runtime import (
+    ErrorInjector,
+    Interpreter,
+    RuntimeOptions,
+    StepBudgetExceeded,
+)
+from repro.runtime.compiler import CompiledRunner
 from repro.runtime.injection import StepCounter
 from tests.runtime.test_resume import oracle_records, sweep
 
@@ -185,3 +192,52 @@ class TestReferenceMeters:
         assert (its.round_sites, its.round_steps, its.round_errors) == (
             mine.round_sites, mine.round_steps, mine.round_errors
         )
+
+
+class TestActivationSiteCounts:
+    """Each activation runs a fresh engine, while the node's injector
+    counts sites across activations: generated code continues the
+    injector's count and writes it back when the activation ends."""
+
+    @pytest.mark.parametrize("burst", [1, 3])
+    @pytest.mark.parametrize("app, scheduler", CONFIGS)
+    def test_the_injector_counts_as_on_the_tree_walker(
+        self, app, scheduler, burst, monkeypatch
+    ):
+        counts = []
+        activate = DistExperiment._activate
+
+        def recording(self, node, round_index, states, injector, budget):
+            result = activate(self, node, round_index, states, injector, budget)
+            if injector is not None:
+                counts.append((node, round_index, injector.step))
+            return result
+
+        monkeypatch.setattr(DistExperiment, "_activate", recording)
+        runs = []
+        for engine in (Interpreter, CompiledRunner):
+            experiment = dist_app_experiment(
+                app, scheduler=scheduler, engine=engine
+            )
+            sites = experiment.total_steps()
+            for site in (0, sites // 3, sites - 1):
+                node, step = experiment.site_location(site)
+                injector = ErrorInjector(step, seed=site, burst=burst)
+                sim = experiment.simulate(
+                    experiment.horizon(), injectors={node: injector}
+                )
+                runs.append((
+                    sim.trajectory, sim.round_sites, sim.steps,
+                    injector.injected_at, injector.injection_iteration,
+                ))
+            budget = experiment.reference_steps() // 2
+            injector = ErrorInjector(sites // 2, seed=1, burst=burst)
+            with pytest.raises(StepBudgetExceeded):
+                experiment.simulate(
+                    experiment.horizon(), injectors={0: injector},
+                    step_budget=budget,
+                )
+            runs.append(injector.step)
+        half = len(counts) // 2
+        assert counts[:half] == counts[half:]
+        assert runs[:len(runs) // 2] == runs[len(runs) // 2:]

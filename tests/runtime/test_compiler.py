@@ -7,7 +7,13 @@ from collections import Counter
 
 import pytest
 
-from repro.apps import APP_NAMES, app_device_factory, load_app
+from repro.apps import (
+    APP_NAMES,
+    DIST_APP_NAMES,
+    app_device_factory,
+    load_app,
+    resolve_experiment,
+)
 from repro.lang.typecheck import JavaTypeError
 from repro.obs.profile import SamplingProfiler, installed_profiler, section_counts
 from repro.runtime import (
@@ -492,6 +498,102 @@ class TestProfileNames:
             "sjava.Mp3Decoder.decode", "sjava.Mp3Decoder.decode.loop",
             "sjava.Mp3Decoder.decodeGranule", "sjava.BitStream.readSample",
         } <= frames
+
+
+@pytest.fixture
+def callouts(monkeypatch):
+    """Counts generated code's call-outs, by kind."""
+    counts = Counter()
+    site, charged = CompiledRunner._site, CompiledRunner._charged
+
+    def counting_site(engine, value, node):
+        counts["site"] += 1
+        return site(engine, value, node)
+
+    def counting_charged(engine):
+        counts["charged"] += 1
+        charged(engine)
+
+    monkeypatch.setattr(CompiledRunner, "_site", counting_site)
+    monkeypatch.setattr(CompiledRunner, "_charged", counting_charged)
+    return counts
+
+
+class TestInlineCounter:
+    """Generated code charges each step inline and calls out only at
+    the step ``trip``: the budget's trip step, or the earliest step at
+    which the injector's next target site can come."""
+
+    def test_sites_and_charges_are_tested_inline(self, apps):
+        CompiledRunner(
+            apps["mp3_decoder"].info, app_device_factory("mp3_decoder", 1)()
+        ).run()
+        for source in apps["mp3_decoder"].info.compiled.sources.values():
+            lines = [line.strip() for line in source.splitlines()]
+            assert not any(line.startswith(("I =", "C =")) for line in lines)
+            for i, line in enumerate(lines):
+                if line == "E.steps += 1":
+                    after = lines[i + 1]
+                    if after == "E.charges += 1":
+                        after = lines[i + 2]
+                        assert after == "if E.steps >= E.trip: E._charged()"
+                    else:
+                        assert after.startswith("if E.steps >= E.trip: _t")
+
+    @pytest.mark.parametrize("name", APP_NAMES)
+    def test_a_run_without_injector_or_budget_never_calls_out(
+        self, name, apps, callouts
+    ):
+        info = apps[name].info
+        engine = CompiledRunner(info, app_device_factory(name, 10)())
+        engine.run()
+        assert not callouts
+        counter = StepCounter()
+        Interpreter(
+            info, app_device_factory(name, 10)(), injector=counter
+        ).run()
+        assert engine.sites == counter.step > 0
+
+    @pytest.mark.parametrize("name", APP_NAMES + DIST_APP_NAMES)
+    def test_clean_runs_of_experiments_never_call_out(self, name, callouts):
+        """References, site totals and fabric references (whose node
+        counters the engine never calls) are clean runs."""
+        experiment = resolve_experiment(name)
+        experiment.reference_groups()
+        assert experiment.total_steps() > 0
+        assert not callouts
+
+    def test_an_injected_trial_calls_out_a_bounded_number_of_times(
+        self, callouts
+    ):
+        """However many sites a trial runs: ~3 of the bursts' targets,
+        plus a few where loop charges bring the trip step forward."""
+        per_trial = []
+        for app in ("wind_sensor", "mp3_decoder", "herman_bit"):
+            experiment = resolve_experiment(app, step_budget_factor=64)
+            total = experiment.total_steps()
+            for site in range(0, total, total // 40):
+                before = sum(callouts.values())
+                experiment.trial_at(site, seed=site, burst=3)
+                per_trial.append(sum(callouts.values()) - before)
+        assert 3 <= max(per_trial) <= 8
+
+    def test_a_full_injected_run_calls_out_a_bounded_number_of_times(
+        self, apps, callouts
+    ):
+        info = apps["mp3_decoder"].info
+        options = RuntimeOptions(ignore_errors=True)
+        for target in (0, 5_000, 20_000, 40_000):
+            injector = ErrorInjector(target, seed=target, burst=3)
+            engine = CompiledRunner(
+                info, app_device_factory("mp3_decoder", 30)(),
+                options=options, injector=injector,
+            )
+            callouts.clear()
+            engine.run()
+            assert injector.fired and engine.sites > 40_000
+            assert injector.step == engine.sites
+            assert sum(callouts.values()) <= 8
 
 
 class TestSpeed:

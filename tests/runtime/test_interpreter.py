@@ -3,6 +3,7 @@ Section 4.4."""
 
 import pytest
 
+from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import IterationKeyedDevice, ScriptedDevice
 from repro.runtime.interpreter import Interpreter, RuntimeOptions, SJavaRuntimeError
 from repro.runtime.values import java_int_div, java_int_rem
@@ -262,3 +263,79 @@ class TestCrashAvoidance:
         )
         assert interp.sink.values == [1]
         assert interp.error_log
+
+
+#: Every kind of crash-avoidance error, in two iterations (v = 0, 3).
+EVERY_ERROR = '''
+class Box { int val; void touch() { val = 1; } }
+class Main {
+  Box box;
+  int[] data = new int[2];
+  int[] none;
+  OrderedIntBuffer buf = new OrderedIntBuffer(2);
+  void run() {
+    SSJAVA:
+    while (true) {
+      int v = Device.readSensor();
+      SJ.broadcast(box.val);
+      box.val = v;
+      box.touch();
+      data[v] = 1;
+      SJ.broadcast(data[v] + none.length);
+      SJ.broadcast(10 / v + 10 % v);
+      SJ.broadcast(Math.sqrt(0.0 - v) + Math.exp(1000.0));
+      SJ.broadcast(buf.get(v));
+      int i = 0;
+      @MAXLOOP(2) while (i < 5) { i++; }
+    }
+  }
+}
+'''
+
+#: The messages both engines log for it.
+EVERY_ERROR_LOG = [
+    "field read on null reference at 12:24; ignored",
+    "field store on null reference at 13:11; ignored",
+    "call of 'touch' on null receiver at 14:11; ignored",
+    "length of null array at 16:35; ignored",
+    "division by zero at 17:23; defined result",
+    "remainder by zero at 17:32; defined result",
+    "math range error at 18:46; defined result",
+    "loop bound exceeded at 21:19; bounded",
+    "field read on null reference at 12:24; ignored",
+    "field store on null reference at 13:11; ignored",
+    "call of 'touch' on null receiver at 14:11; ignored",
+    "index 3 out of bounds for length 2 at 15:11; ignored",
+    "index 3 out of bounds for length 2 at 16:24; ignored",
+    "length of null array at 16:35; ignored",
+    "sqrt of negative value at 18:25; defined result",
+    "math range error at 18:46; defined result",
+    "index 3 out of bounds for length 2 at 19:24; ignored",
+    "loop bound exceeded at 21:19; bounded",
+]
+
+
+class TestErrorLogText:
+    """Both engines log one message per crash-avoidance error, and
+    strict mode raises the same text without the outcome."""
+
+    @pytest.mark.parametrize("engine", [Interpreter, CompiledRunner])
+    def test_every_kind_of_error_logs_its_message(self, engine):
+        interp = engine(
+            analyze(EVERY_ERROR),
+            ScriptedDevice({"readSensor": [0, 3]}),
+            options=RuntimeOptions(ignore_errors=True),
+        )
+        interp.run()
+        assert interp.error_log == EVERY_ERROR_LOG
+
+    def test_strict_mode_raises_the_message(self):
+        with pytest.raises(
+            SJavaRuntimeError,
+            match=r"^index 3 out of bounds for length 2 at 7:40$",
+        ):
+            run(
+                loop("int v = Device.readSensor(); data[v] = 9;",
+                     members="int[] data = new int[2];"),
+                streams={"readSensor": [3]},
+            )

@@ -3,8 +3,11 @@ trial (recorded as ``timeout``), never hang the worker process."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.apps import resolve_experiment
 from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import IterationKeyedDevice
 from repro.runtime.interpreter import (
@@ -131,3 +134,24 @@ class TestExperimentWatchdog:
             step_budget=None, step_budget_factor=None
         )
         assert experiment._trial_budget() is None
+
+
+class TestCleanRunsAreNeverBudgeted:
+    def test_a_budget_in_the_options_leaves_clean_runs_alone(self):
+        """``options.step_budget`` budgets trials that set no budget of
+        their own, never the clean runs."""
+        plain = resolve_experiment("wind_sensor")
+        options = RuntimeOptions(ignore_errors=True, step_budget=100)
+        experiment = replace(plain, options=options, step_budget_factor=64)
+        assert experiment.reference_groups() == plain.reference_groups()
+        assert experiment.reference_steps() == plain.reference_steps() > 100
+        assert experiment.total_steps() == plain.total_steps()
+        assert not experiment.trial_at(5, seed=5).timed_out
+        # A trial with no budget of its own runs under the options', and
+        # a resumed one is judged as the oracle's full run.
+        unbudgeted = replace(plain, options=options)
+        oracle = replace(unbudgeted, engine=Interpreter)
+        for site in (5, 300):
+            trial = unbudgeted.trial_at(site, seed=site)
+            assert trial.timed_out
+            assert trial == oracle.trial_at(site, seed=site)

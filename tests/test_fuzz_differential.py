@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from repro.apps import DIST_APP_NAMES
 from repro.runtime import (
@@ -349,3 +349,126 @@ class TestRichPrograms:
         assert results[0] == results[1]
         assert injectors[0].step == injectors[1].step
         assert injectors[0].injected_at == injectors[1].injected_at
+
+
+class StepKinds(Interpreter):
+    """The tree-walker, noting what each step was: ``s`` a site, ``i``
+    an inner loop's charge, ``e`` the event loop's."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.kinds: list[str] = []
+        self.loops = 0
+
+    def _inject(self, value, node):
+        self.kinds.append("s")
+        return super()._inject(value, node)
+
+    def _charge(self) -> None:
+        self.kinds.append("i" if self.loops else "e")
+        super()._charge()
+
+    def _exec_inner_loop(self, stmt, frame) -> None:
+        self.loops += 1
+        try:
+            super()._exec_inner_loop(stmt, frame)
+        finally:
+            self.loops -= 1
+
+    def _exec_for(self, stmt, frame) -> None:
+        self.loops += 1
+        try:
+            super()._exec_for(stmt, frame)
+        finally:
+            self.loops -= 1
+
+
+def step_kinds(info) -> str:
+    """The kinds of a clean run's steps, step ``k`` at ``[k - 1]``."""
+    engine = StepKinds(info, rich_device(), options=RICH_OPTIONS)
+    try:
+        engine.run()
+    except (ArithmeticError, TypeError):
+        pass
+    return "".join(engine.kinds)
+
+
+def observe_counted(backend, info, options, injector):
+    """:func:`observe_rich`, with what the injector counted and did."""
+    shown = observe_rich(backend, info, options, injector)
+    if injector is None:
+        return shown, None
+    return shown, (
+        injector.step, injector.injected_at, injector.injection_iteration
+    )
+
+
+def injectors(data, sites: int, first: int = 0):
+    """None, or an injector targeting a site from ``first`` on."""
+    if data.draw(st.booleans()):
+        return lambda: None
+    target = data.draw(st.integers(first, sites + 2))
+    burst = data.draw(st.integers(1, 3))
+    return lambda: ErrorInjector(target_step=target, seed=target, burst=burst)
+
+
+class TestCallOuts:
+    """Generated code counts steps inline and calls out only at the
+    step ``trip``.  Draws that land the trip where the call-outs differ:
+    a budget tripping at an inner loop's charge or amid straight-line
+    sites, and injector targets that loop charges come before, so the
+    trip is re-armed on the way."""
+
+    def assert_agree(self, info, options, injector_factory):
+        assert observe_counted(
+            Interpreter, info, options, injector_factory()
+        ) == observe_counted(CompiledRunner, info, options, injector_factory())
+
+    @given(rich_programs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_budget_tripping_at_an_inner_loop_charge(self, source, data):
+        info = analyze(source)
+        kinds = step_kinds(info)
+        trips = [k for k, kind in enumerate(kinds, 1) if kind == "i"]
+        assume(trips)
+        trip = data.draw(st.sampled_from(trips))
+        options = replace(RICH_OPTIONS, step_budget=trip - 1)
+        sites_before = kinds[:trip].count("s")
+        self.assert_agree(
+            info, options, injectors(data, kinds.count("s"), sites_before)
+        )
+
+    @given(rich_programs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_budget_tripping_amid_straight_line_sites(self, source, data):
+        info = analyze(source)
+        kinds = step_kinds(info)
+        trips = [
+            k for k in range(2, len(kinds)) if kinds[k - 2:k + 1] == "sss"
+        ]
+        assume(trips)
+        trip = data.draw(st.sampled_from(trips))
+        options = replace(RICH_OPTIONS, step_budget=trip - 1)
+        sites_before = kinds[:trip].count("s")
+        self.assert_agree(
+            info, options, injectors(data, kinds.count("s"), sites_before)
+        )
+
+    @given(rich_programs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_targets_after_loop_charges(self, source, data):
+        """Target ``t`` is armed at step ``t + 1``; a loop charge at or
+        before that step brings the trip forward, onto a charge or an
+        earlier site, which re-arms it."""
+        info = analyze(source)
+        kinds = step_kinds(info)
+        sites = kinds.count("s")
+        targets = [t for t in range(min(sites, len(kinds))) if kinds[t] != "s"]
+        assume(targets)
+        target = data.draw(st.sampled_from(targets))
+        burst = data.draw(st.integers(1, 3))
+        budget = data.draw(st.sampled_from([None, len(kinds) // 2, len(kinds)]))
+        self.assert_agree(
+            info, replace(RICH_OPTIONS, step_budget=budget),
+            lambda: ErrorInjector(target_step=target, seed=target, burst=burst),
+        )
